@@ -15,7 +15,7 @@ from .candidates import (
     top_epsilon,
 )
 from .config import DnnSettings, LrSettings, PipelineConfig, load_config
-from .crosslr import LrConfig, SparseLrModel, materialize, train_phase1, train_phase2
+from .crosslr import LrConfig, SparseLrModel, train_phase1, train_phase2
 from .data import Dataset, FieldSchema, RawTable, Vocabulary, load_csv, split_table
 from .discretize import BinEdges, apply_edges, fit_equal_frequency, select_granularity
 from .errors import (
@@ -96,7 +96,6 @@ __all__ = [
     "load_exported",
     "load_model",
     "local_weight_matrix",
-    "materialize",
     "precompute_logit_columns",
     "run_all",
     "run_inconsistency_study",

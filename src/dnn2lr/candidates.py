@@ -109,7 +109,8 @@ def save_candidates(path, candidates: list[CrossFieldCandidate]) -> None:
             handle.write(",".join(str(f) for f in cand.fields) + f"\t{cand.count}\n")
 
 
-def load_candidates(path) -> list[CrossFieldCandidate]:
+def load_candidates(path, n_fields: int) -> list[CrossFieldCandidate]:
+    """Read a candidates file whose crosses must name distinct fields below n_fields."""
     out: list[CrossFieldCandidate] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -119,8 +120,15 @@ def load_candidates(path) -> list[CrossFieldCandidate]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise IngestionError(f"{path}: line {lineno}: expected 2 columns")
-            fields = tuple(int(f) for f in parts[0].split(","))
+            try:
+                fields, count = tuple(int(f) for f in parts[0].split(",")), int(parts[1])
+            except ValueError:
+                raise IngestionError(f"{path}: line {lineno}: non-integer cell") from None
             if not MIN_ORDER <= len(fields) <= MAX_ORDER:
                 raise IngestionError(f"{path}: line {lineno}: bad candidate order")
-            out.append(CrossFieldCandidate(fields=fields, count=int(parts[1])))
+            if len(set(fields)) != len(fields) or not all(0 <= f < n_fields for f in fields):
+                raise IngestionError(
+                    f"{path}: line {lineno}: fields must be distinct and in 0..{n_fields - 1}"
+                )
+            out.append(CrossFieldCandidate(fields=fields, count=count))
     return out

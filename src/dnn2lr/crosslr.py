@@ -6,20 +6,27 @@ phases. Phase 1 fits the original-field weights and the bias. Phase 2 fits
 cross-feature weights with phase 1's parameters frozen bit-for-bit, so adding
 candidates can only ever add terms on top of the plain scorecard.
 
-Cross-feature values are keyed by the tuple of constituent ids; a combination
-never seen in training contributes exactly 0 (its weight was never created).
+Cross-feature values are keyed by one mixed-radix integer built from the
+constituent ids (see CrossKeys); each cross keeps a sorted key array and a
+weight array, and a combination never seen in training contributes exactly 0
+(its key is absent).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .candidates import MAX_ORDER, MIN_ORDER
+from .errors import ConfigError, EncodingError, TrainingError
 from .metrics import auc
 from .network import stable_sigmoid
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 LR_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0)
 L2_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0)
 
@@ -43,22 +50,93 @@ class LrConfig:
 
 
 def _normalize_fields(candidate) -> tuple[int, ...]:
-    fields = tuple(getattr(candidate, "fields", candidate))
-    return tuple(sorted(int(f) for f in fields))
+    return tuple(sorted(int(f) for f in getattr(candidate, "fields", candidate)))
 
 
-def materialize(row_ids, fields: tuple[int, ...]) -> str:
-    """Cross-feature value of one row: "field:id" pairs joined by "|".
+class CrossKeys:
+    """Mixed-radix keys of the value combinations of a list of crosses.
 
-    Fields appear in ascending order regardless of how the candidate was
-    declared, so the same combination always materializes identically.
+    A cross (f0, f1, ...) keys a row as ``(id_f0 * V_f1 + id_f1) * V_f2 + ...``
+    over the vocabulary sizes V: the first member is the most significant
+    digit, so key order is the order of ``np.unique(axis=0)`` rows and of
+    sorted id tuples. Column j of ``encode`` is shifted by the spans of
+    crosses 0..j-1, so one sorted array can hold every cross's keys. Keys are
+    int64 unless the total span would overflow it; then they are exact Python
+    ints (object dtype) and never wrap.
     """
-    row = np.asarray(row_ids).ravel()
-    return "|".join(f"{f}:{int(row[f])}" for f in sorted(int(f) for f in fields))
+
+    def __init__(self, crosses: list[tuple[int, ...]], sizes: list[int]):
+        spans = [math.prod(int(sizes[f]) for f in c) for c in crosses]
+        self.span = sum(spans)  # every key is below it
+        self.dtype = np.dtype(np.int64 if self.span <= _INT64_MAX else object)
+        self.offsets = np.array([0, *itertools.accumulate(spans)][: len(crosses)], self.dtype)
+        width = max(map(len, crosses), default=0)
+        self.members = np.zeros((len(crosses), width), dtype=np.intp)
+        self.steps = np.zeros((len(crosses), width), dtype=self.dtype)
+        for j, cross in enumerate(crosses):
+            radices = [int(sizes[f]) for f in cross]
+            self.members[j, : len(cross)] = cross
+            self.steps[j, : len(cross)] = [math.prod(radices[m + 1 :]) for m in range(len(cross))]
+
+    def encode(self, ids: np.ndarray) -> np.ndarray:
+        """(K, C) keys of each row's combination in each cross, offsets included."""
+        return (ids[:, self.members] * self.steps).sum(axis=2) + self.offsets
+
+
+def split_keys(keys: np.ndarray, radices: list[int]) -> np.ndarray:
+    """Member ids of one cross's keys: the inverse of ``CrossKeys.encode``."""
+    out = np.empty((len(keys), len(radices)), dtype=np.int64)
+    for m in reversed(range(len(radices))):
+        out[:, m] = keys % radices[m]
+        keys = keys // radices[m]
+    return out
+
+
+def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in a sorted table ending in a key larger than all, else -1."""
+    pos = np.searchsorted(table, keys)
+    return np.where(table[pos] == keys, pos, -1)
+
+
+class CompiledScorer:
+    """Read-only flat form of a model's lookup-sum, shared by every scorer.
+
+    A row's logit is ``bias + (field weights in field order + cross weights
+    in the compiled order)``, added term by term from the left whatever the
+    number of rows. One offset field table and one sorted key array keep the
+    number of numpy calls fixed however many fields and crosses there are.
+    """
+
+    def __init__(self, model: "SparseLrModel", crosses: list[tuple[int, ...]]):
+        self.bias = model.bias
+        self._field_offsets = np.cumsum([0, *model.vocab_sizes[:-1]])
+        self._field_table = np.concatenate(model.field_weights)
+        which = [model.cross_index(f) for f in crosses]
+        self._keys = CrossKeys([model.cross_fields[j] for j in which], model.vocab_sizes)
+        self._table = np.concatenate([
+            *(model.cross_keys[j].astype(self._keys.dtype) + offset
+              for j, offset in zip(which, self._keys.offsets.tolist())),
+            np.array([self._keys.span], dtype=self._keys.dtype),
+        ])
+        # Absent combinations find -1, which reads the final 0.0.
+        self._weights = np.concatenate([*(model.cross_weights[j] for j in which), [0.0]])
+
+    def cross_terms(self, ids: np.ndarray) -> np.ndarray:
+        """(K, C) weight of each row's combination per cross; absent scores 0.0."""
+        return self._weights[_find(self._table, self._keys.encode(ids))]
+
+    def logits(self, ids: np.ndarray) -> np.ndarray:
+        field_terms = self._field_table[ids + self._field_offsets]
+        terms = np.concatenate([field_terms, self.cross_terms(ids)], axis=1)
+        return self.bias + np.add.accumulate(terms, axis=1, out=terms)[:, -1]
 
 
 class SparseLrModel:
-    """Lookup-sum logistic model: original fields, cross fields, bias."""
+    """Lookup-sum logistic model: original fields, cross fields, bias.
+
+    Cross j keeps its sorted ``CrossKeys`` keys in ``cross_keys[j]`` and one
+    weight per key in ``cross_weights[j]``.
+    """
 
     def __init__(self, vocab_sizes: list[int]):
         if not vocab_sizes or any(v < 2 for v in vocab_sizes):
@@ -67,7 +145,8 @@ class SparseLrModel:
         self.field_weights = [np.zeros(v, dtype=np.float64) for v in self.vocab_sizes]
         self.bias = 0.0
         self.cross_fields: list[tuple[int, ...]] = []
-        self.cross_weights: list[dict[tuple[int, ...], float]] = []
+        self.cross_keys: list[np.ndarray] = []
+        self.cross_weights: list[np.ndarray] = []
 
     @property
     def n_fields(self) -> int:
@@ -77,15 +156,9 @@ class SparseLrModel:
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[1] != self.n_fields:
             raise ConfigError(f"expected an id matrix with {self.n_fields} columns")
+        if ids.size and (ids.min() < 0 or (ids >= self.vocab_sizes).any()):
+            raise EncodingError("id matrix holds ids outside the vocabulary")
         return ids
-
-    def original_logits(self, ids) -> np.ndarray:
-        """Sum of original-field lookups, bias not included."""
-        ids = self._check_ids(ids)
-        out = np.zeros(ids.shape[0], dtype=np.float64)
-        for f in range(self.n_fields):
-            out += self.field_weights[f][ids[:, f]]
-        return out
 
     def cross_index(self, fields: tuple[int, ...]) -> int:
         fields = _normalize_fields(fields)
@@ -94,40 +167,97 @@ class SparseLrModel:
         except ValueError:
             raise ConfigError(f"model has no cross field {fields}") from None
 
-    def cross_column(self, ids, which: int) -> np.ndarray:
-        """Per-row logit contribution of one attached cross field."""
-        ids = self._check_ids(ids)
-        fields = self.cross_fields[which]
-        table = self.cross_weights[which]
-        sub = ids[:, list(fields)]
-        return np.asarray([table.get(tuple(int(v) for v in row), 0.0) for row in sub])
+    def compile(self, active: list[tuple[int, ...]] | None = None) -> CompiledScorer:
+        """Snapshot for scoring: every cross in attach order, or ``active``'s."""
+        return CompiledScorer(self, self.cross_fields if active is None else active)
 
     def logits(self, ids, active: list[tuple[int, ...]] | None = None) -> np.ndarray:
-        """Full score: originals, then bias, then cross columns in given order."""
-        out = self.original_logits(ids) + self.bias
-        which = (
-            range(len(self.cross_fields))
-            if active is None
-            else [self.cross_index(f) for f in active]
-        )
-        for j in which:
-            out = out + self.cross_column(ids, j)
-        return out
+        """bias + (originals + active cross columns in the given order)."""
+        return self.compile(active).logits(self._check_ids(ids))
 
     def predict(self, ids, active: list[tuple[int, ...]] | None = None) -> np.ndarray:
         return stable_sigmoid(self.logits(ids, active=active))
 
-    def attach_cross(self, fields: tuple[int, ...], table: dict[tuple[int, ...], float]) -> None:
-        fields = _normalize_fields(fields)
+    def attach_cross(self, fields: tuple[int, ...], combos, weights) -> None:
+        """Add a cross from one row of member ids per entry, members ascending."""
+        fields = tuple(int(f) for f in fields)
+        weights = np.asarray(weights, dtype=np.float64).ravel()
+        radices = [self.vocab_sizes[f] for f in fields if 0 <= f < self.n_fields]
+        ok = sorted(set(fields)) == list(fields) and len(radices) == len(fields)
+        if not ok or not MIN_ORDER <= len(fields) <= MAX_ORDER:
+            raise ConfigError(f"cross field {fields}: need 2 to 4 ascending fields of the model")
         if fields in self.cross_fields:
             raise ConfigError(f"cross field {fields} attached twice")
+        combos = np.asarray(combos, dtype=np.int64).reshape(weights.size, len(fields))
+        if combos.size and (combos.min() < 0 or (combos >= radices).any()):
+            raise ConfigError(f"cross field {fields}: ids outside the vocabulary")
+        keys = CrossKeys([tuple(range(len(fields)))], radices).encode(combos)[:, 0]
+        order = np.argsort(keys, kind="stable")
+        if np.any(keys[order][1:] == keys[order][:-1]):
+            raise ConfigError(f"cross field {fields}: a value combination appears twice")
         self.cross_fields.append(fields)
-        self.cross_weights.append(dict(table))
+        self.cross_keys.append(keys[order])
+        self.cross_weights.append(weights[order])
 
 
-def _check_binary(y: np.ndarray, where: str) -> None:
-    if len(set(np.asarray(y, dtype=np.float64).ravel().tolist())) < 2:
-        raise TrainingError(f"{where} split has a single class; AUC is undefined")
+def _fit_tables(weights, codes, valid_codes, base, valid_base, labels, valid_labels, config, bias):
+    """Minibatch SGD on lookup tables over a fixed base logit; both phases use it.
+
+    Row k's logit is ``base[k] + sum_t weights[t][codes[t][k]]``, plus ``bias``
+    unless it is None (a float bias is fitted too); a valid code of -1
+    contributes 0. Early stopping mirrors the network trainer: the epoch with
+    the best validation AUC is restored into ``weights`` in place, patience
+    counts consecutive non-improvements. Returns the history and the bias.
+    """
+    config.validate()
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    y_valid = np.asarray(valid_labels, dtype=np.float64).ravel()
+    if len(set(y_valid.tolist())) < 2:
+        raise TrainingError("validation split has a single class; AUC is undefined")
+    rng = np.random.default_rng(config.seed)
+    best_auc = -np.inf
+    best: tuple[list[np.ndarray], float | None] | None = None
+    stall = 0
+    history: list[dict] = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(y.size)
+        loss_sum = 0.0
+        for start in range(0, y.size, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            logit = base[batch]
+            for w, c in zip(weights, codes):
+                logit += w[c[batch]]
+            p = stable_sigmoid(logit if bias is None else logit + bias)
+            yb = y[batch]
+            loss_sum -= float(np.sum(yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)))
+            residual = (p - yb) / batch.size
+            for w, c in zip(weights, codes):
+                grad = np.bincount(c[batch], weights=residual, minlength=w.size)
+                w -= config.learning_rate * (grad + config.l2 * w)
+            if bias is not None:
+                bias -= config.learning_rate * float(residual.sum())
+        epoch_loss = loss_sum / y.size
+        if not np.isfinite(epoch_loss):
+            raise TrainingError(f"non-finite training loss at epoch {epoch}")
+        valid_logit = valid_base.copy()
+        for w, c in zip(weights, valid_codes):
+            valid_logit += np.where(c >= 0, w[c], 0.0)
+        valid_logit = valid_logit if bias is None else valid_logit + bias
+        valid_auc = auc(y_valid, stable_sigmoid(valid_logit))
+        history.append({"epoch": epoch, "train_loss": epoch_loss, "valid_auc": valid_auc})
+        if valid_auc > best_auc:
+            best_auc = valid_auc
+            best = ([w.copy() for w in weights], bias)
+            stall = 0
+        else:
+            stall += 1
+            if stall >= config.patience:
+                break
+    if best is not None:
+        for w, saved in zip(weights, best[0]):
+            w[...] = saved
+        bias = best[1]
+    return history, bias
 
 
 def train_phase1(
@@ -138,71 +268,14 @@ def train_phase1(
     valid_labels: np.ndarray,
     config: LrConfig | None = None,
 ) -> list[dict]:
-    """Fit original-field weights and the bias by minibatch SGD.
-
-    Early stopping mirrors the network trainer: the snapshot with the best
-    validation AUC wins, patience counts consecutive non-improvements.
-    """
-    config = config or LrConfig()
-    config.validate()
+    """Fit original-field weights and the bias: one table per field, zero base."""
     ids = model._check_ids(train_ids)
-    y = np.asarray(train_labels, dtype=np.float64).ravel()
-    y_valid = np.asarray(valid_labels, dtype=np.float64).ravel()
-    _check_binary(y_valid, "validation")
-    rng = np.random.default_rng(config.seed)
-    best_auc = -np.inf
-    best: tuple[list[np.ndarray], float] | None = None
-    stall = 0
-    history: list[dict] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(ids.shape[0])
-        loss_sum = 0.0
-        for start in range(0, ids.shape[0], config.batch_size):
-            batch = order[start : start + config.batch_size]
-            rows = ids[batch]
-            p = stable_sigmoid(model.original_logits(rows) + model.bias)
-            yb = y[batch]
-            loss_sum -= float(np.sum(yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)))
-            residual = (p - yb) / batch.size
-            for f in range(model.n_fields):
-                grad = np.bincount(
-                    rows[:, f], weights=residual, minlength=model.vocab_sizes[f]
-                )
-                model.field_weights[f] -= config.learning_rate * (
-                    grad + config.l2 * model.field_weights[f]
-                )
-            model.bias -= config.learning_rate * float(residual.sum())
-        epoch_loss = loss_sum / ids.shape[0]
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"non-finite training loss at epoch {epoch}")
-        valid_auc = auc(y_valid, model.predict(valid_ids, active=[]))
-        history.append({"epoch": epoch, "train_loss": epoch_loss, "valid_auc": valid_auc})
-        if valid_auc > best_auc:
-            best_auc = valid_auc
-            best = ([w.copy() for w in model.field_weights], model.bias)
-            stall = 0
-        else:
-            stall += 1
-            if stall >= config.patience:
-                break
-    if best is not None:
-        for w, saved in zip(model.field_weights, best[0]):
-            w[...] = saved
-        model.bias = best[1]
+    valid = model._check_ids(valid_ids)
+    history, model.bias = _fit_tables(
+        model.field_weights, list(ids.T), list(valid.T), np.zeros(len(ids)), np.zeros(len(valid)),
+        train_labels, valid_labels, config or LrConfig(), model.bias,
+    )
     return history
-
-
-def _encode_cross(train_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense codes for the distinct id-combinations present in training."""
-    uniq, codes = np.unique(train_sub, axis=0, return_inverse=True)
-    return uniq, codes.astype(np.int64).ravel()
-
-
-def _lookup_codes(sub: np.ndarray, key_to_code: dict) -> np.ndarray:
-    out = np.full(sub.shape[0], -1, dtype=np.int64)
-    for i, row in enumerate(sub):
-        out[i] = key_to_code.get(tuple(int(v) for v in row), -1)
-    return out
 
 
 def train_phase2(
@@ -221,76 +294,25 @@ def train_phase2(
     so an untrained candidate contributes nothing. Early stopping tracks the
     validation AUC of the full model (base plus all candidate columns).
     """
-    config = config or LrConfig()
-    config.validate()
     ids = model._check_ids(train_ids)
-    y = np.asarray(train_labels, dtype=np.float64).ravel()
-    y_valid = np.asarray(valid_labels, dtype=np.float64).ravel()
-    _check_binary(y_valid, "validation")
+    valid = model._check_ids(valid_ids)
     fields_list = [_normalize_fields(c) for c in candidates]
     if len(set(fields_list)) != len(fields_list):
         raise ConfigError("duplicate candidate cross fields")
-    base_train = model.original_logits(ids) + model.bias
-    valid = model._check_ids(valid_ids)
-    base_valid = model.original_logits(valid) + model.bias
-
-    uniqs: list[np.ndarray] = []
-    train_codes: list[np.ndarray] = []
-    valid_codes: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
+    uniqs, codes, valid_codes = [], [], []
     for fields in fields_list:
-        sub = ids[:, list(fields)]
-        uniq, codes = _encode_cross(sub)
+        keys = CrossKeys([fields], model.vocab_sizes)
+        uniq, inverse = np.unique(keys.encode(ids)[:, 0], return_inverse=True)
         uniqs.append(uniq)
-        train_codes.append(codes)
-        key_to_code = {tuple(int(v) for v in row): i for i, row in enumerate(uniq)}
-        valid_codes.append(_lookup_codes(valid[:, list(fields)], key_to_code))
-        weights.append(np.zeros(uniq.shape[0], dtype=np.float64))
-
-    def valid_logits() -> np.ndarray:
-        out = base_valid.copy()
-        for w, codes in zip(weights, valid_codes):
-            out += np.where(codes >= 0, w[np.clip(codes, 0, None)], 0.0)
-        return out
-
-    rng = np.random.default_rng(config.seed)
-    best_auc = -np.inf
-    best: list[np.ndarray] | None = None
-    stall = 0
-    history: list[dict] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(ids.shape[0])
-        loss_sum = 0.0
-        for start in range(0, ids.shape[0], config.batch_size):
-            batch = order[start : start + config.batch_size]
-            logit = base_train[batch].copy()
-            for w, codes in zip(weights, train_codes):
-                logit += w[codes[batch]]
-            p = stable_sigmoid(logit)
-            yb = y[batch]
-            loss_sum -= float(np.sum(yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)))
-            residual = (p - yb) / batch.size
-            for w, codes in zip(weights, train_codes):
-                grad = np.bincount(codes[batch], weights=residual, minlength=w.size)
-                w -= config.learning_rate * (grad + config.l2 * w)
-        epoch_loss = loss_sum / ids.shape[0]
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"non-finite training loss at epoch {epoch}")
-        valid_auc = auc(y_valid, stable_sigmoid(valid_logits()))
-        history.append({"epoch": epoch, "train_loss": epoch_loss, "valid_auc": valid_auc})
-        if valid_auc > best_auc:
-            best_auc = valid_auc
-            best = [w.copy() for w in weights]
-            stall = 0
-        else:
-            stall += 1
-            if stall >= config.patience:
-                break
-    if best is not None:
-        weights = best
+        codes.append(inverse.ravel())
+        valid_codes.append(_find(np.append(uniq, keys.span), keys.encode(valid)[:, 0]))
+    weights = [np.zeros(uniq.size) for uniq in uniqs]
+    history, _ = _fit_tables(
+        weights, codes, valid_codes, model.logits(ids, active=[]), model.logits(valid, active=[]),
+        train_labels, valid_labels, config or LrConfig(), None,
+    )
     for fields, uniq, w in zip(fields_list, uniqs, weights):
-        table = {tuple(int(v) for v in row): float(w[i]) for i, row in enumerate(uniq)}
-        model.attach_cross(fields, table)
+        model.attach_cross(fields, split_keys(uniq, [model.vocab_sizes[f] for f in fields]), w)
     return history
 
 
@@ -311,22 +333,12 @@ def tune_phase1(
     """
     base = config or LrConfig()
     best: tuple[float, float, float] | None = None
-    for lr in lr_grid:
-        for l2 in l2_grid:
-            trial = LrConfig(
-                learning_rate=lr,
-                l2=l2,
-                batch_size=base.batch_size,
-                epochs=base.epochs,
-                patience=base.patience,
-                seed=base.seed,
-            )
-            model = SparseLrModel(vocab_sizes)
-            history = train_phase1(
-                model, train_ids, train_labels, valid_ids, valid_labels, trial
-            )
-            score = max(h["valid_auc"] for h in history)
-            if best is None or score > best[2]:
-                best = (lr, l2, score)
+    for lr, l2 in itertools.product(lr_grid, l2_grid):
+        trial = dataclasses.replace(base, learning_rate=lr, l2=l2)
+        model = SparseLrModel(vocab_sizes)
+        history = train_phase1(model, train_ids, train_labels, valid_ids, valid_labels, trial)
+        score = max(h["valid_auc"] for h in history)
+        if best is None or score > best[2]:
+            best = (lr, l2, score)
     assert best is not None
     return best

@@ -8,7 +8,8 @@ string category, with the empty string standing for a missing value.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +170,7 @@ class Vocabulary:
 
     def __init__(self, field_names: list[str]):
         self.field_names = list(field_names)
-        self._to_id: list[dict[str, int]] = [dict() for _ in field_names]
+        self._to_id: list[dict[str, int]] = [{MISSING: MISSING_ID} for _ in field_names]
         self._to_value: list[list[str]] = [[] for _ in field_names]
 
     @classmethod
@@ -178,14 +179,18 @@ class Vocabulary:
         n = len(field_names)
         for row in rows:
             for f in range(n):
-                value = row[f]
-                if value == MISSING:
-                    continue
-                table = vocab._to_id[f]
-                if value not in table:
-                    table[value] = NUM_RESERVED_IDS + len(table)
-                    vocab._to_value[f].append(value)
+                if row[f] not in vocab._to_id[f]:
+                    vocab.add(f, row[f])
         return vocab
+
+    def add(self, f: int, value: str) -> int:
+        """Give a value not yet in field f the next learned id."""
+        if value in self._to_id[f]:
+            raise EncodingError(f"field {self.field_names[f]!r}: value {value!r} added twice")
+        fid = NUM_RESERVED_IDS + len(self._to_value[f])
+        self._to_id[f][value] = fid
+        self._to_value[f].append(value)
+        return fid
 
     @property
     def n_fields(self) -> int:
@@ -199,8 +204,6 @@ class Vocabulary:
         return [self.size(f) for f in range(self.n_fields)]
 
     def encode_value(self, f: int, value: str) -> int:
-        if value == MISSING:
-            return MISSING_ID
         return self._to_id[f].get(value, UNSEEN_ID)
 
     def decode(self, f: int, fid: int) -> str:
@@ -215,11 +218,9 @@ class Vocabulary:
         return self._to_value[f][idx]
 
     def encode_rows(self, rows: list[list[str]]) -> np.ndarray:
-        ids = np.empty((len(rows), self.n_fields), dtype=np.int32)
-        for k, row in enumerate(rows):
-            for f in range(self.n_fields):
-                ids[k, f] = self.encode_value(f, row[f])
-        return ids
+        flat = (t.get(v, UNSEEN_ID) for row in rows for t, v in zip(self._to_id, row))
+        ids = np.fromiter(flat, dtype=np.int32, count=len(rows) * self.n_fields)
+        return ids.reshape(len(rows), self.n_fields)
 
     def encode_table(self, table: RawTable) -> Dataset:
         return Dataset(
@@ -250,20 +251,15 @@ class Vocabulary:
                 name, value, fid = parts[0], unescape(parts[1]), int(parts[2])
                 if name not in position:
                     raise IngestionError(f"{path}: line {lineno}: unknown field {name!r}")
-                f = position[name]
-                expected = NUM_RESERVED_IDS + len(vocab._to_value[f])
-                if fid != expected:
-                    raise IngestionError(
-                        f"{path}: line {lineno}: id {fid} breaks dense order (expected {expected})"
-                    )
-                vocab._to_id[f][value] = fid
-                vocab._to_value[f].append(value)
+                if vocab.add(position[name], value) != fid:
+                    raise IngestionError(f"{path}: line {lineno}: id {fid} breaks dense order")
         return vocab
 
 
 # Escapes for values stored in tab-separated artifacts. Bin labels are always
 # plain, but raw categories can contain anything.
 _ESCAPES = [("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"), ("|", "\\|"), (",", "\\,")]
+_UNESCAPES = {coded[1]: plain for plain, coded in _ESCAPES}
 
 
 def escape(value: str) -> str:
@@ -273,22 +269,5 @@ def escape(value: str) -> str:
 
 
 def unescape(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            mapping = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "|": "|", ",": ","}
-            if nxt in mapping:
-                out.append(mapping[nxt])
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def rename_fields(fields: list[FieldSchema], kind: str) -> list[FieldSchema]:
-    """Copy a schema with every field forced to one kind (post-binning helper)."""
-    return [replace(f, kind=kind) for f in fields]
+    """Inverse of escape; a backslash before any other character stays as it is."""
+    return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m.group(1), m.group(0)), value, flags=re.S)

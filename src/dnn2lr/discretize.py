@@ -9,6 +9,8 @@ category downstream.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,20 +38,21 @@ class BinEdges:
         return len(self.cuts) + 1
 
 
+def parse_number(cell: str, field_name: str = "") -> float:
+    """One raw cell as a float; an empty cell is NaN."""
+    text = cell.strip()
+    if text == MISSING:
+        return math.nan
+    try:
+        return float(text)
+    except ValueError:
+        label = field_name or "numerical field"
+        raise IngestionError(f"{label}: cannot parse {cell!r} as a number") from None
+
+
 def parse_numeric(cells: list[str], field_name: str = "") -> np.ndarray:
     """Convert raw cells to floats; empty cells become NaN."""
-    out = np.empty(len(cells), dtype=np.float64)
-    for i, cell in enumerate(cells):
-        text = cell.strip()
-        if text == MISSING:
-            out[i] = np.nan
-            continue
-        try:
-            out[i] = float(text)
-        except ValueError:
-            label = field_name or "numerical field"
-            raise IngestionError(f"{label}: cannot parse {cell!r} as a number") from None
-    return out
+    return np.array([parse_number(cell, field_name) for cell in cells], dtype=np.float64)
 
 
 def fit_equal_frequency(values: np.ndarray, granularity: int, field: int = 0) -> BinEdges:
@@ -81,10 +84,20 @@ def bin_index(edges: BinEdges, values: np.ndarray) -> np.ndarray:
     return idx
 
 
+def bin_of(edges: BinEdges, value: float) -> int:
+    """bin_index of one value, without numpy: bisect_left counts the cuts below it."""
+    return -1 if math.isnan(value) else bisect.bisect_left(edges.cuts, value)
+
+
+def bin_labels(edges: BinEdges) -> list[str]:
+    """Category label of each bin, in bin-index order."""
+    return [f"b{i}" for i in range(edges.n_bins())]
+
+
 def apply_edges(edges: BinEdges, values: np.ndarray) -> list[str]:
     """Render values as bin labels; NaN renders as the missing marker."""
-    idx = bin_index(edges, values)
-    return [MISSING if i < 0 else f"b{i}" for i in idx]
+    labels = bin_labels(edges)
+    return [MISSING if i < 0 else labels[i] for i in bin_index(edges, values)]
 
 
 def _single_field_valid_auc(

@@ -46,16 +46,6 @@ def local_weight_matrix(
     return model.embedding_gradients(ids, space=space)
 
 
-def local_interpretation(
-    model: EmbeddingDnn, row_ids: np.ndarray, field: int, space: str = "probability"
-) -> float:
-    """Contribution scalar w . e for one sample and field."""
-    row = np.asarray(row_ids).reshape(1, -1)
-    w = model.embedding_gradients(row, space=space)[0, field]
-    e = model.embed(row)[0, field * model.embedding_dim : (field + 1) * model.embedding_dim]
-    return float(w @ e)
-
-
 def global_weight_table(
     local: np.ndarray, ids: np.ndarray, vocab_sizes: list[int]
 ) -> list[np.ndarray]:

@@ -18,15 +18,27 @@ Line grammar::
 An empty value string is the missing-value category. Combinations absent
 from the file score zero, mirroring training-time behaviour for unseen
 values.
+
+Loading compiles the file into id tables. The ``w`` lines rebuild the
+vocabulary: per field the empty value is the missing id 0 and the other
+values get ids 2, 3, ... in file order, which is the id order export writes;
+the unseen id 1 weighs 0.0. The weights and ``cw`` tables become a
+SparseLrModel over those ids, compiled once for scoring with and once
+without its crosses. Scoring raw rows encodes them through the vocabulary
+(numerical cells through their bin edges) and sums one vectorized lookup per
+row: ``bias + (fields in index order + crosses in file order)``, added term
+by term. Loading rejects a non-finite weight, a ``cw`` value absent from its
+field's ``w`` lines and a ``cross`` naming an unknown field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+import math
+import re
 
 import numpy as np
 
-from .crosslr import SparseLrModel
+from .crosslr import SparseLrModel, split_keys
 from .data import (
     MISSING,
     MISSING_ID,
@@ -34,11 +46,12 @@ from .data import (
     UNSEEN_ID,
     FieldSchema,
     Vocabulary,
+    check_schema,
     escape,
     unescape,
 )
-from .discretize import BinEdges, apply_edges, parse_numeric
-from .errors import ConfigError, IngestionError
+from .discretize import BinEdges, bin_labels, bin_of, parse_number
+from .errors import ConfigError, Dnn2LrError, IngestionError
 from .network import stable_sigmoid
 
 _HEADER = "# white-box logistic scorecard"
@@ -76,130 +89,143 @@ def export_model(
         members = model.cross_fields[which]
         member_names = ",".join(escape(names[f]) for f in members)
         lines.append(f"cross\t{member_names}")
-        table = model.cross_weights[which]
-        for key in sorted(table):
+        combos = split_keys(model.cross_keys[which], [model.vocab_sizes[f] for f in members])
+        for key, weight in zip(combos.tolist(), model.cross_weights[which].tolist()):
             rendered = "|".join(
                 escape(MISSING if fid == MISSING_ID else vocab.decode(f, fid))
                 for f, fid in zip(members, key)
             )
-            lines.append(f"cw\t{member_names}\t{rendered}\t{table[key]!r}")
+            lines.append(f"cw\t{member_names}\t{rendered}\t{weight!r}")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def _split_escaped(text: str, sep: str) -> list[str]:
     """Split on sep, honouring backslash escapes produced by escape()."""
-    parts: list[str] = []
-    current: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            current.append(ch)
-            current.append(text[i + 1])
-            i += 2
-            continue
-        if ch == sep:
-            parts.append("".join(current))
-            current = []
+    parts = [""]
+    for token in re.findall(r"\\.|.", text, flags=re.S):
+        if token == sep:
+            parts.append("")
         else:
-            current.append(ch)
-        i += 1
-    parts.append("".join(current))
+            parts[-1] += token
     return parts
 
 
-@dataclass
 class ExportedModel:
-    """In-memory form of the exported artifact, able to score raw rows."""
+    """A loaded scorecard: schema, rebuilt vocabulary, bin edges and id model."""
 
-    fields: list[FieldSchema]
-    bias: float = 0.0
-    edges_by_name: dict[str, BinEdges] = dataclass_field(default_factory=dict)
-    weights: dict[tuple[str, str], float] = dataclass_field(default_factory=dict)
-    crosses: list[tuple[tuple[str, ...], dict[tuple[str, ...], float]]] = dataclass_field(
-        default_factory=list
-    )
-
-    def _categories(self, rows: list[list[str]]) -> list[list[str]]:
-        """Raw cells -> category strings (numerical fields go through bins)."""
-        by_index = sorted(self.fields, key=lambda f: f.index)
-        columns: list[list[str]] = []
-        for f in by_index:
-            cells = [row[f.index] for row in rows]
+    def __init__(
+        self, fields: list[FieldSchema], vocab: Vocabulary, edges_by_name, model: SparseLrModel
+    ):
+        self.fields = fields
+        self.vocab = vocab
+        self.model = model
+        self._scorers = {True: model.compile(), False: model.compile([])}
+        self._numeric = []  # (field, edges, id of each bin, then of missing: bin index -1)
+        for f in fields:
             if f.kind == NUMERICAL:
-                values = parse_numeric(cells, field_name=f.name)
-                columns.append(apply_edges(self.edges_by_name[f.name], values))
-            else:
-                columns.append(list(cells))
-        return [[columns[f][k] for f in range(len(by_index))] for k in range(len(rows))]
+                edges = edges_by_name[f.name]
+                bins = [vocab.encode_value(f.index, label) for label in bin_labels(edges)]
+                self._numeric.append((f, edges, bins + [MISSING_ID]))
+
+    def encode(self, rows: list[list[str]]) -> np.ndarray:
+        """Raw cells -> vocabulary ids; numerical cells go through their bins."""
+        ids = self.vocab.encode_rows(rows)
+        numeric = self._numeric
+        if numeric and rows:
+            ids[:, [f.index for f, _, _ in numeric]] = [
+                [bins[bin_of(e, parse_number(row[f.index], f.name))] for f, e, bins in numeric]
+                for row in rows
+            ]
+        return ids
 
     def logits(self, rows: list[list[str]], include_cross: bool = True) -> np.ndarray:
-        cats = self._categories(rows)
-        name_pos = {f.name: f.index for f in self.fields}
-        out = np.full(len(rows), self.bias, dtype=np.float64)
-        for k, row in enumerate(cats):
-            total = 0.0
-            for f in self.fields:
-                total += self.weights.get((f.name, row[f.index]), 0.0)
-            if include_cross:
-                for member_names, table in self.crosses:
-                    key = tuple(row[name_pos[name]] for name in member_names)
-                    total += table.get(key, 0.0)
-            out[k] += total
-        return out
+        return self._scorers[include_cross].logits(self.encode(rows))
 
     def score_rows(self, rows: list[list[str]], include_cross: bool = True) -> np.ndarray:
         """Probabilities for raw rows ordered by the model's own schema."""
         return stable_sigmoid(self.logits(rows, include_cross=include_cross))
 
 
-def load_exported(path) -> ExportedModel:
-    model = ExportedModel(fields=[])
-    seen_bias = False
+_ARITY = {"bias": 2, "field": 4, "edges": 4, "w": 4, "cross": 2, "cw": 4}
+
+
+def _weight(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise IngestionError(f"weight {text!r} is not finite")
+    return value
+
+
+def iter_tagged(path):
+    """Yield (line number, tag, fields after the tag) for each line of a model file."""
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            tag = parts[0]
-            try:
-                if tag == "bias" and len(parts) == 2:
-                    model.bias = float(parts[1])
-                    seen_bias = True
-                elif tag == "field" and len(parts) == 4:
-                    model.fields.append(
-                        FieldSchema(name=unescape(parts[2]), index=int(parts[1]), kind=parts[3])
-                    )
-                elif tag == "edges" and len(parts) == 4:
-                    name = unescape(parts[1])
-                    index = next(f.index for f in model.fields if f.name == name)
-                    cuts = tuple(float(c) for c in parts[3].split(",")) if parts[3] else ()
-                    model.edges_by_name[name] = BinEdges(
-                        field=index, granularity=int(parts[2]), cuts=cuts
-                    )
-                elif tag == "w" and len(parts) == 4:
-                    model.weights[(unescape(parts[1]), unescape(parts[2]))] = float(parts[3])
-                elif tag == "cross" and len(parts) == 2:
-                    names = tuple(unescape(p) for p in _split_escaped(parts[1], ","))
-                    model.crosses.append((names, {}))
-                elif tag == "cw" and len(parts) == 4:
-                    names = tuple(unescape(p) for p in _split_escaped(parts[1], ","))
-                    key = tuple(unescape(p) for p in _split_escaped(parts[2], "|"))
-                    for member_names, table in model.crosses:
-                        if member_names == names:
-                            table[key] = float(parts[3])
-                            break
-                    else:
-                        raise IngestionError("cw line before its cross line")
-                else:
-                    raise IngestionError(f"unrecognized line tag {tag!r}")
-            except (ValueError, StopIteration) as err:
-                raise IngestionError(f"{path}: line {lineno}: {err}") from None
-            except IngestionError as err:
-                raise IngestionError(f"{path}: line {lineno}: {err}") from None
-    if not model.fields or not seen_bias:
+            if line and not line.startswith("#"):
+                parts = line.split("\t")
+                if _ARITY.get(parts[0]) != len(parts):
+                    raise IngestionError(f"{path}: line {lineno}: bad line tag {parts[0]!r}")
+                yield lineno, parts[0], parts[1:]
+
+
+def load_exported(path) -> ExportedModel:
+    """Read a model file and compile it; any bad line fails naming its number."""
+    tagged: dict[str, list] = {tag: [] for tag in _ARITY}
+    for lineno, tag, parts in iter_tagged(path):
+        tagged[tag].append((lineno, parts))
+    if not tagged["field"] or not tagged["bias"]:
         raise IngestionError(f"{path}: not a model file (missing field or bias lines)")
-    model.fields.sort(key=lambda f: f.index)
-    return model
+    lineno = 0
+    try:
+        fields = []
+        for lineno, (index, name, kind) in tagged["field"]:
+            fields.append(FieldSchema(name=unescape(name), index=int(index), kind=kind))
+        fields.sort(key=lambda f: f.index)
+        check_schema(fields)
+        position = {f.name: f.index for f in fields}
+
+        def field_of(name: str) -> int:
+            if unescape(name) not in position:
+                raise IngestionError(f"unknown field {unescape(name)!r}")
+            return position[unescape(name)]
+
+        vocab = Vocabulary([f.name for f in fields])
+        entries = []
+        for lineno, (name, value, weight) in tagged["w"]:
+            f = field_of(name)
+            fid = MISSING_ID if value == MISSING else vocab.add(f, unescape(value))
+            entries.append((f, fid, _weight(weight)))
+        model = SparseLrModel(vocab.sizes())
+        for f, fid, weight in entries:
+            model.field_weights[f][fid] = weight
+        for lineno, (weight,) in tagged["bias"]:
+            model.bias = _weight(weight)
+        edges_by_name = {}
+        for lineno, (name, granularity, cuts) in tagged["edges"]:
+            edges_by_name[unescape(name)] = BinEdges(
+                field=field_of(name),
+                granularity=int(granularity),
+                cuts=tuple(float(c) for c in cuts.split(",")) if cuts else (),
+            )
+        for f in fields:
+            if f.kind == NUMERICAL and f.name not in edges_by_name:
+                raise IngestionError(f"no bin edges for numerical field {f.name!r}")
+        tables = {}
+        for lineno, (names,) in tagged["cross"]:
+            members = [field_of(name) for name in _split_escaped(names, ",")]
+            tables.setdefault(names, (members, [], []))
+        for lineno, (names, values, weight) in tagged["cw"]:
+            if names not in tables:
+                raise IngestionError("cw line names no listed cross")
+            members, combos, weights = tables[names]
+            values = [unescape(v) for v in _split_escaped(values, "|")]
+            combos.append([vocab.encode_value(f, v) for f, v in zip(members, values)])
+            if len(values) != len(members) or UNSEEN_ID in combos[-1]:
+                raise IngestionError("cw value not among its field's w lines")
+            weights.append(_weight(weight))
+        for lineno, (names,) in tagged["cross"]:
+            model.attach_cross(*tables[names])
+    except (ValueError, Dnn2LrError) as err:
+        raise IngestionError(f"{path}: line {lineno}: {err}") from None
+    return ExportedModel(fields, vocab, edges_by_name, model)

@@ -30,11 +30,9 @@ _PROB_FLOOR = 1e-12
 
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    ez = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) below: never overflows
+    total = 1.0 + ez
+    out = np.where(z >= 0, 1.0 / total, ez / total)
     return np.clip(out, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 

@@ -31,10 +31,17 @@ import numpy as np
 from . import model_io
 from .candidates import enumerate_candidates, load_candidates, save_candidates, top_epsilon
 from .config import PipelineConfig
-from .crosslr import LrConfig, SparseLrModel, train_phase1, train_phase2, tune_phase1
+from .crosslr import (
+    LrConfig,
+    SparseLrModel,
+    split_keys,
+    train_phase1,
+    train_phase2,
+    tune_phase1,
+)
 from .data import NUMERICAL, Dataset, RawTable, Vocabulary, load_csv, save_csv, split_table
 from .discretize import apply_edges, load_edges, parse_numeric, save_edges, select_granularity
-from .errors import Dnn2LrError, IngestionError, StageError
+from .errors import ConfigError, Dnn2LrError, IngestionError, StageError
 from .inconsistency import compute_inconsistency, feasible_matrix
 from .metrics import auc, ks
 from .network import EmbeddingDnn, TrainConfig, load_model, save_model, train
@@ -261,63 +268,41 @@ def stage_candidates(config: PipelineConfig) -> None:
     save_candidates(ws.candidates_tsv, top)
 
 
-def _lr_config(config: PipelineConfig, seed: int) -> LrConfig:
-    return LrConfig(
-        learning_rate=config.lr.learning_rate,
-        l2=config.lr.l2,
-        batch_size=config.lr.batch_size,
-        epochs=config.lr.epochs,
-        patience=config.lr.patience,
-        seed=seed,
-    )
-
-
 def save_lr_full(path, model: SparseLrModel) -> None:
     """Internal id-keyed dump of the fully trained two-phase model."""
     lines = [f"bias\t{model.bias!r}"]
     for f, weights in enumerate(model.field_weights):
-        for fid in range(weights.size):
-            lines.append(f"w\t{f}\t{fid}\t{float(weights[fid])!r}")
-    for fields, table in zip(model.cross_fields, model.cross_weights):
+        for fid, weight in enumerate(weights.tolist()):
+            lines.append(f"w\t{f}\t{fid}\t{weight!r}")
+    for fields, keys, weights in zip(model.cross_fields, model.cross_keys, model.cross_weights):
         key = ",".join(str(f) for f in fields)
         lines.append(f"cross\t{key}")
-        for ids_tuple in sorted(table):
-            rendered = ",".join(str(i) for i in ids_tuple)
-            lines.append(f"cw\t{key}\t{rendered}\t{table[ids_tuple]!r}")
+        combos = split_keys(keys, [model.vocab_sizes[f] for f in fields])
+        for ids_row, weight in zip(combos.tolist(), weights.tolist()):
+            lines.append(f"cw\t{key}\t{','.join(map(str, ids_row))}\t{weight!r}")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def load_lr_full(path, vocab_sizes: list[int]) -> SparseLrModel:
     model = SparseLrModel(vocab_sizes)
-    tables: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
-    order: list[tuple[int, ...]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            tag = parts[0]
-            try:
-                if tag == "bias":
-                    model.bias = float(parts[1])
-                elif tag == "w":
-                    model.field_weights[int(parts[1])][int(parts[2])] = float(parts[3])
-                elif tag == "cross":
-                    fields = tuple(int(v) for v in parts[1].split(","))
-                    tables[fields] = {}
-                    order.append(fields)
-                elif tag == "cw":
-                    fields = tuple(int(v) for v in parts[1].split(","))
-                    key = tuple(int(v) for v in parts[2].split(","))
-                    tables[fields][key] = float(parts[3])
-                else:
-                    raise IngestionError(f"unrecognized line tag {tag!r}")
-            except (IndexError, KeyError, ValueError) as err:
-                raise IngestionError(f"{path}: line {lineno}: {err}") from None
-    for fields in order:
-        model.attach_cross(fields, tables[fields])
+    tables: dict[str, tuple[list[int], list[float]]] = {}  # flat member ids, weights
+    lineno = 0
+    try:
+        for lineno, tag, parts in model_io.iter_tagged(path):
+            if tag == "bias":
+                model.bias = float(parts[0])
+            elif tag == "w":
+                model.field_weights[int(parts[0])][int(parts[1])] = float(parts[2])
+            elif tag == "cross":
+                tables[parts[0]] = ([], [])
+            elif tag == "cw":
+                tables[parts[0]][0].extend(int(v) for v in parts[1].split(","))
+                tables[parts[0]][1].append(float(parts[2]))
+        for key, (combos, weights) in tables.items():
+            model.attach_cross([int(v) for v in key.split(",")], combos, weights)
+    except (IndexError, KeyError, ValueError, ConfigError) as err:
+        raise IngestionError(f"{path}: line {lineno}: {err}") from None
     return model
 
 
@@ -327,20 +312,15 @@ def stage_train_lr(config: PipelineConfig) -> None:
     _require("candidates", ws.candidates_tsv)
     vocab = _load_vocab(config)
     train_set, valid_set, _ = _load_encoded(config)
-    cands = load_candidates(ws.candidates_tsv)
+    cands = load_candidates(ws.candidates_tsv, len(config.fields))
     seed = _stage_seed(config, "train-lr")
-    lr_config = _lr_config(config, seed)
+    lr = config.lr
+    lr_config = LrConfig(lr.learning_rate, lr.l2, lr.batch_size, lr.epochs, lr.patience, seed)
     if config.lr.grid_tune:
-        best_lr, best_l2, _ = tune_phase1(
-            train_set.ids,
-            train_set.labels,
-            valid_set.ids,
-            valid_set.labels,
-            vocab.sizes(),
+        lr_config.learning_rate, lr_config.l2, _ = tune_phase1(
+            train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, vocab.sizes(),
             config=lr_config,
         )
-        lr_config.learning_rate = best_lr
-        lr_config.l2 = best_l2
     model = SparseLrModel(vocab.sizes())
     train_phase1(
         model, train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, lr_config

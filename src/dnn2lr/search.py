@@ -50,13 +50,7 @@ def precompute_logit_columns(
     Returns (base, columns) with columns shaped (K, n_candidates); a candidate
     whose combinations never appear in ``ids`` yields an all-zero column.
     """
-    base = model.original_logits(ids) + model.bias
-    if not model.cross_fields:
-        return base, np.zeros((base.size, 0), dtype=np.float64)
-    cols = np.column_stack(
-        [model.cross_column(ids, j) for j in range(len(model.cross_fields))]
-    )
-    return base, cols
+    return model.logits(ids, active=[]), model.compile().cross_terms(np.asarray(ids))
 
 
 def _scored_auc(labels: np.ndarray, logits: np.ndarray) -> float:

@@ -125,16 +125,16 @@ class TestCandidateFile:
         ]
         path = tmp_path / "candidates.tsv"
         save_candidates(path, cands)
-        assert load_candidates(path) == cands
+        assert load_candidates(path, 10) == cands
 
     def test_bad_order_rejected(self, tmp_path):
         path = tmp_path / "candidates.tsv"
         path.write_text("3\t9\n")
         with pytest.raises(IngestionError):
-            load_candidates(path)
+            load_candidates(path, 10)
 
     def test_bad_columns_rejected(self, tmp_path):
         path = tmp_path / "candidates.tsv"
         path.write_text("1,2\t3\textra\n")
         with pytest.raises(IngestionError):
-            load_candidates(path)
+            load_candidates(path, 10)

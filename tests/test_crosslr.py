@@ -1,17 +1,22 @@
 """Two-phase sparse logistic regression over id lookups."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnn2lr.crosslr import (
+    CrossKeys,
     LrConfig,
     SparseLrModel,
-    materialize,
+    split_keys,
     train_phase1,
     train_phase2,
     tune_phase1,
 )
-from dnn2lr.errors import ConfigError, TrainingError
+from dnn2lr.errors import ConfigError, EncodingError, TrainingError
 from dnn2lr.metrics import auc
 from dnn2lr.network import stable_sigmoid
 
@@ -30,12 +35,49 @@ def make_xor_data(seed, k=1200, noise=0.05):
     return ids[:cut], y[:cut], ids[cut:], y[cut:]
 
 
-class TestMaterialize:
-    def test_sorted_key(self):
-        row = np.array([7, 8, 9, 10])
-        assert materialize(row, (2, 0)) == "0:7|2:9"
-        assert materialize(row, (0, 2)) == "0:7|2:9"
-        assert materialize(row, (3, 1, 2)) == "1:8|2:9|3:10"
+def id_rows(radices, max_rows=40):
+    """Rows of member ids, each id below its radix; extremes drawn often."""
+    digit = [st.one_of(st.just(0), st.just(r - 1), st.integers(0, r - 1)) for r in radices]
+    return st.lists(st.tuples(*digit), min_size=1, max_size=max_rows)
+
+
+class TestCrossKeys:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.integers(2, 6), min_size=2, max_size=4).flatmap(
+        lambda radices: st.tuples(st.just(radices), id_rows(radices))))
+    def test_key_order_is_unique_row_order(self, case):
+        radices, rows = case
+        sub = np.array(rows, dtype=np.int32)
+        keys = CrossKeys([tuple(range(len(radices)))], radices).encode(sub)[:, 0]
+        assert keys.dtype == np.int64
+        uniq_keys, key_codes = np.unique(keys, return_inverse=True)
+        uniq_rows, row_codes = np.unique(sub, axis=0, return_inverse=True)
+        assert np.array_equal(split_keys(uniq_keys, radices), uniq_rows)
+        assert np.array_equal(key_codes.ravel(), row_codes.ravel())
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(st.integers(2**16, 10**6), min_size=4, max_size=4).flatmap(
+        lambda radices: st.tuples(st.just(radices), id_rows(radices, max_rows=12))))
+    def test_overflow_guard_keeps_keys_exact(self, case):
+        radices, rows = case
+        assert math.prod(radices) > np.iinfo(np.int64).max  # an int64 product would wrap
+        keys = CrossKeys([(0, 1, 2, 3)], radices).encode(np.array(rows, dtype=np.int64))[:, 0]
+        want = [((a * radices[1] + b) * radices[2] + c) * radices[3] + d for a, b, c, d in rows]
+        assert keys.tolist() == want
+        assert len(set(want)) == len(set(rows))
+        assert [tuple(r) for r in split_keys(keys, radices).tolist()] == rows
+        # the scorer finds every entry through the same keys
+        model = SparseLrModel(radices)
+        table = {row: float(i) for i, row in enumerate(sorted(set(rows)))}
+        model.attach_cross((0, 1, 2, 3), list(table), list(table.values()))
+        probe = np.array(rows + [(1, 1, 1, 1)], dtype=np.int64)
+        got = model.compile().cross_terms(probe)[:, 0].tolist()
+        assert got == [table.get(tuple(row), 0.0) for row in probe.tolist()]
+
+    def test_crosses_share_one_key_space(self):
+        keys = CrossKeys([(0, 1), (1, 2)], [3, 4, 5])
+        ids = np.array([[2, 3, 4], [0, 0, 0]])
+        assert keys.encode(ids).tolist() == [[2 * 4 + 3, 12 + 3 * 5 + 4], [0, 12]]
 
 
 class TestModelAlgebra:
@@ -48,25 +90,37 @@ class TestModelAlgebra:
         got = model.logits(ids)
         assert np.allclose(got, [1.5 + 0.3 - 0.4, 1.5], atol=1e-15)
 
-    def test_cross_column_unseen_combo_is_zero(self):
+    def test_cross_terms_unseen_combo_is_zero(self):
         model = SparseLrModel([4, 4, 4])
-        model.attach_cross((0, 2), {(2, 3): 0.7})
+        model.attach_cross((0, 2), [[2, 3]], [0.7])
         ids = np.array([[2, 0, 3], [2, 0, 2]], dtype=np.int32)
-        col = model.cross_column(ids, 0)
-        assert col.tolist() == [0.7, 0.0]
+        assert model.compile().cross_terms(ids).tolist() == [[0.7], [0.0]]
 
     def test_active_subset_controls_score(self):
         model = SparseLrModel([4, 4])
-        model.attach_cross((0, 1), {(2, 2): 1.0})
+        model.attach_cross((0, 1), [[2, 2]], [1.0])
         ids = np.array([[2, 2]], dtype=np.int32)
         assert model.logits(ids, active=[]).tolist() == [0.0]
         assert model.logits(ids, active=[(0, 1)]).tolist() == [1.0]
 
     def test_duplicate_attach_rejected(self):
         model = SparseLrModel([4, 4])
-        model.attach_cross((0, 1), {})
+        model.attach_cross((0, 1), [], [])
         with pytest.raises(ConfigError):
-            model.attach_cross((1, 0), {})
+            model.attach_cross((0, 1), [], [])
+
+    def test_bad_cross_tables_rejected(self):
+        model = SparseLrModel([4, 4, 4])
+        for fields, combos in [((0, 0), [[2, 2]]), ((1, 0), [[2, 2]]), ((0, 3), [[2, 2]]),
+                               ((0, 1), [[2, 4]]), ((0, 1), [[2, 2], [2, 2]])]:
+            with pytest.raises(ConfigError):
+                model.attach_cross(fields, combos, [0.5] * len(combos))
+        assert model.cross_fields == []
+
+    def test_out_of_vocabulary_ids_rejected(self):
+        model = SparseLrModel([3, 3])
+        with pytest.raises(EncodingError):
+            model.logits(np.array([[0, 3]], dtype=np.int32))
 
     def test_unknown_cross_lookup_rejected(self):
         model = SparseLrModel([4, 4])
@@ -82,7 +136,7 @@ class TestModelAlgebra:
     def test_column_count_checked(self):
         model = SparseLrModel([3, 3])
         with pytest.raises(ConfigError):
-            model.original_logits(np.zeros((2, 3), dtype=np.int32))
+            model.logits(np.zeros((2, 3), dtype=np.int32))
 
 
 class TestPhase1:

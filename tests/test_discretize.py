@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnn2lr.discretize import (
     GRANULARITIES,
     BinEdges,
     apply_edges,
     bin_index,
+    bin_of,
     fit_equal_frequency,
     load_edges,
     parse_numeric,
@@ -92,6 +95,15 @@ class TestBinIndex:
     def test_nan_flagged(self):
         edges = BinEdges(field=0, granularity=10, cuts=(1.0,))
         assert bin_index(edges, np.array([np.nan])).tolist() == [-1]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        cuts=st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]), unique=True),
+        values=st.lists(st.sampled_from([-np.inf, -2.0, -0.0, 0.0, 0.5, 0.7, 3.0, np.inf, np.nan])),
+    )
+    def test_scalar_bin_of_matches_bin_index(self, cuts, values):
+        edges = BinEdges(field=0, granularity=10, cuts=tuple(sorted(cuts)))
+        assert [bin_of(edges, v) for v in values] == bin_index(edges, np.array(values)).tolist()
 
     def test_apply_edges_labels(self):
         edges = BinEdges(field=0, granularity=10, cuts=(1.0,))

@@ -13,7 +13,6 @@ from dnn2lr.inconsistency import (
     feasible_matrix,
     global_weight_table,
     inconsistency_values,
-    local_interpretation,
     local_weight_matrix,
 )
 from dnn2lr.network import OUTPUT_IDENTITY, EmbeddingDnn
@@ -112,14 +111,6 @@ class TestDMatrix:
         res = compute_inconsistency(model, ids)
         # field 0: every value occurs once, so w_local == w_global exactly
         assert np.allclose(res.d[:, 0], 0.0, atol=1e-24)
-
-    def test_local_interpretation_scalar(self):
-        model = EmbeddingDnn([9, 9], embedding_dim=4, hidden=(6,), seed=7)
-        row = np.array([3, 5], dtype=np.int32)
-        got = local_interpretation(model, row, field=1)
-        w = local_weight_matrix(model, row.reshape(1, -1))[0, 1]
-        e = model.embed(row.reshape(1, -1))[0, 4:]
-        assert got == pytest.approx(float(w @ e), abs=1e-15)
 
     def test_additive_identity_network_is_consistent(self):
         # the canonical zero case: no interactions means local weights depend

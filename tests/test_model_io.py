@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dnn2lr.crosslr import SparseLrModel
-from dnn2lr.data import CATEGORICAL, NUMERICAL, FieldSchema, Vocabulary
-from dnn2lr.discretize import BinEdges
+from dnn2lr.crosslr import SparseLrModel, split_keys
+from dnn2lr.data import CATEGORICAL, NUMERICAL, FieldSchema, Vocabulary, escape, unescape
+from dnn2lr.discretize import BinEdges, apply_edges, parse_numeric
 from dnn2lr.errors import ConfigError, IngestionError
-from dnn2lr.model_io import ExportedModel, export_model, load_exported
+from dnn2lr.cli import main
+from dnn2lr.model_io import _split_escaped, export_model, load_exported
 from dnn2lr.network import stable_sigmoid
 
 
@@ -29,7 +32,7 @@ def small_setup():
     model.field_weights[0][:] = [0.05, 0.0, 0.3, -0.3]  # missing, unseen, red, blue
     model.field_weights[1][:] = [0.0, 0.0, 0.11, -0.07]
     model.field_weights[2][:] = [0.0, 0.0, 0.2, -0.2]
-    model.attach_cross((0, 2), {(2, 2): 0.9, (3, 3): -0.9})
+    model.attach_cross((0, 2), [[2, 2], [3, 3]], [0.9, -0.9])
     edges = {"age": BinEdges(field=1, granularity=10, cuts=(40.0,))}
     return fields, vocab, model, edges
 
@@ -60,7 +63,7 @@ class TestExport:
 
     def test_unselected_crosses_left_out(self, tmp_path):
         fields, vocab, model, edges = small_setup()
-        model.attach_cross((1, 2), {(2, 2): 0.1})
+        model.attach_cross((1, 2), [[2, 2]], [0.1])
         path = tmp_path / "model.txt"
         export_model(path, model, fields, vocab, edges, selected=[(0, 2)])
         assert "cross\tage" not in path.read_text()
@@ -103,7 +106,7 @@ class TestRoundTrip:
         path = tmp_path / "model.txt"
         export_model(path, model, fields, vocab, edges, selected=[])
         back = load_exported(path)
-        assert back.weights[("color", "red")] == 0.1 + 0.2
+        assert back.model.field_weights[0][back.vocab.encode_value(0, "red")] == 0.1 + 0.2
 
     def test_awkward_value_strings(self, tmp_path):
         fields = [FieldSchema("f", 0, CATEGORICAL)]
@@ -114,52 +117,51 @@ class TestRoundTrip:
         path = tmp_path / "model.txt"
         export_model(path, model, fields, vocab, {}, selected=[])
         back = load_exported(path)
-        assert back.weights[("f", "a,b")] == 1.0
-        assert back.weights[("f", "c|d")] == 2.0
-        assert back.weights[("f", "e\tf")] == 3.0
+        assert back.logits([["a,b"], ["c|d"], ["e\tf"]]).tolist() == [1.0, 2.0, 3.0]
 
     def test_cross_members_and_keys_round_trip(self, tmp_path):
         fields, vocab, model, edges = small_setup()
         path = tmp_path / "model.txt"
         export_model(path, model, fields, vocab, edges, selected=[(0, 2)])
         back = load_exported(path)
-        assert len(back.crosses) == 1
-        names, table = back.crosses[0]
-        assert names == ("color", "shape")
-        assert table[("red", "box")] == 0.9
-        assert table[("blue", "ball")] == -0.9
+        assert back.model.cross_fields == [(0, 2)]
+        ids = back.encode([["red", "1", "box"], ["blue", "1", "ball"], ["red", "1", "ball"]])
+        assert back.model.compile().cross_terms(ids).tolist() == [[0.9], [-0.9], [0.0]]
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    return load_exported(path)
+
+
+XY_MODEL = (
+    "bias\t{bias}\nfield\t0\tx\tcategorical\nfield\t1\ty\tcategorical\n"
+    "w\tx\ta\t{wa}\nw\ty\tb\t0.0\ncross\tx,y\ncw\tx,y\ta|b\t2.0\n"
+)
 
 
 class TestScoring:
-    def test_unknown_combination_scores_zero(self):
-        model = ExportedModel(
-            fields=[FieldSchema("x", 0, CATEGORICAL), FieldSchema("y", 1, CATEGORICAL)],
-            bias=0.5,
-            weights={("x", "a"): 1.0},
-            crosses=[(("x", "y"), {("a", "b"): 2.0})],
-        )
+    def test_unknown_combination_scores_zero(self, tmp_path):
+        model = load_text(tmp_path, XY_MODEL.format(bias=0.5, wa=1.0))
         got = model.logits([["a", "b"], ["a", "z"], ["q", "q"]])
         assert got.tolist() == [3.5, 1.5, 0.5]
 
-    def test_include_cross_flag(self):
-        model = ExportedModel(
-            fields=[FieldSchema("x", 0, CATEGORICAL), FieldSchema("y", 1, CATEGORICAL)],
-            bias=0.0,
-            crosses=[(("x", "y"), {("a", "b"): 2.0})],
-        )
+    def test_include_cross_flag(self, tmp_path):
+        model = load_text(tmp_path, XY_MODEL.format(bias=0.0, wa=0.0))
         row = [["a", "b"]]
         assert model.logits(row, include_cross=True).tolist() == [2.0]
         assert model.logits(row, include_cross=False).tolist() == [0.0]
 
-    def test_numerical_binning_at_score_time(self):
-        model = ExportedModel(
-            fields=[FieldSchema("age", 0, NUMERICAL)],
-            bias=0.0,
-            edges_by_name={"age": BinEdges(field=0, granularity=10, cuts=(30.0, 60.0))},
-            weights={("age", "b0"): -1.0, ("age", "b1"): 0.0, ("age", "b2"): 1.0, ("age", ""): 9.0},
+    def test_numerical_binning_at_score_time(self, tmp_path):
+        model = load_text(
+            tmp_path,
+            "bias\t0.0\nfield\t0\tage\tnumerical\nedges\tage\t10\t30.0,60.0\n"
+            "w\tage\t\t9.0\nw\tage\tb0\t-1.0\nw\tage\tb1\t0.0\nw\tage\tb2\t1.0\n",
         )
         got = model.logits([["20"], ["30"], ["45"], ["75"], [""]])
         assert got.tolist() == [-1.0, -1.0, 0.0, 1.0, 9.0]
+        assert model.logits([]).tolist() == []
 
 
 class TestLoadErrors:
@@ -187,3 +189,99 @@ class TestLoadErrors:
         path.write_text("bias\tzero\n")
         with pytest.raises(IngestionError):
             load_exported(path)
+
+
+class TestLoadValidation:
+    """Each bad model file fails through the CLI with one error line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            XY_MODEL.format(bias="nan", wa=1.0),
+            XY_MODEL.format(bias=0.5, wa="inf"),
+            XY_MODEL.format(bias=0.5, wa=1.0).replace("a|b\t2.0", "a|b\t-inf"),
+            XY_MODEL.format(bias=0.5, wa=1.0).replace("a|b", "a|c"),
+            XY_MODEL.format(bias=0.5, wa=1.0).replace("x,y", "x,zz"),
+        ],
+        ids=["nan-bias", "inf-w", "inf-cw", "cw-value-without-w-line", "cross-unknown-field"],
+    )
+    def test_rejected_with_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        data = tmp_path / "d.csv"
+        data.write_text("x,y,label\na,b,1\nq,q,0\n")
+        code = main(["evaluate", "--model", str(path), "--data", str(data), "--label", "label"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ingest: ")
+
+
+AWKWARD = st.text(alphabet="ab\t,|\\\n", max_size=3)
+NUMBERS = ["", "-1.5", "0", "2", " 2.5 ", "3", "10", "nan"]
+
+
+@st.composite
+def scorecards(draw):
+    """A random schema, training rows, a trained-looking model and raw rows to score."""
+    n_cat = draw(st.integers(1, 10))  # over 8 terms, a pairwise sum would show
+    names = draw(st.lists(st.text(alphabet="xy\t,|\\\n", min_size=1, max_size=3),
+                          min_size=n_cat + 1, max_size=n_cat + 1, unique=True))
+    fields = [FieldSchema(name, i, CATEGORICAL) for i, name in enumerate(names[:-1])]
+    fields.append(FieldSchema(names[-1], n_cat, NUMERICAL))
+    cuts = tuple(sorted(draw(st.sets(st.sampled_from([-1.0, 0.0, 2.0, 2.5, 5.0]), max_size=3))))
+    edges = BinEdges(field=n_cat, granularity=10, cuts=cuts)
+    row = st.tuples(*[AWKWARD] * n_cat, st.sampled_from(NUMBERS)).map(list)
+    train = draw(st.lists(row, min_size=1, max_size=12))
+    scored = train + draw(st.lists(row, max_size=6))  # unseen values among them
+
+    def binned(rows):
+        numbers = parse_numeric([r[-1] for r in rows])
+        return [r[:-1] + [label] for r, label in zip(rows, apply_edges(edges, numbers))]
+
+    vocab = Vocabulary.build(names, binned(train))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = SparseLrModel(vocab.sizes())
+    model.bias = float(rng.normal())
+    for w in model.field_weights:
+        w[:] = rng.normal(size=w.size)
+        w[1] = 0.0  # the unseen id is never trained
+    train_ids = vocab.encode_rows(binned(train))
+    crosses = draw(st.lists(st.lists(st.integers(0, n_cat), min_size=2, max_size=4, unique=True)
+                            .map(lambda c: tuple(sorted(c))), max_size=3, unique=True))
+    for cross in crosses:
+        combos = np.unique(train_ids[:, list(cross)], axis=0)
+        keep = combos[rng.random(len(combos)) < 0.7]
+        model.attach_cross(cross, keep, rng.normal(size=len(keep)))
+    selected = draw(st.permutations(crosses))
+    return fields, vocab, edges, model, selected, scored, vocab.encode_rows(binned(scored))
+
+
+class TestScorerProperty:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(scorecards())
+    def test_file_scorer_equals_id_scorer_exactly(self, tmp_path_factory, card):
+        fields, vocab, edges, model, selected, raw, ids = card
+        path = tmp_path_factory.mktemp("card") / "model.txt"
+        export_model(path, model, fields, vocab, {fields[-1].name: edges}, selected)
+        back = load_exported(path)
+        got = back.logits(raw)
+        assert got.tolist() == model.logits(ids, active=selected).tolist()
+        plain = back.logits(raw, include_cross=False)
+        assert plain.tolist() == model.logits(ids, active=[]).tolist()
+        # reference loop: bias + (fields in index order + crosses in file order)
+        for k, row in enumerate(ids.tolist()):
+            total = 0.0
+            for f, fid in enumerate(row):
+                total += model.field_weights[f][fid]
+            for cross in selected:
+                j = model.cross_index(cross)
+                combos = split_keys(model.cross_keys[j], [vocab.size(f) for f in cross])
+                table = dict(zip(map(tuple, combos.tolist()), model.cross_weights[j].tolist()))
+                total += table.get(tuple(row[f] for f in cross), 0.0)
+            assert got[k] == model.bias + total
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.text(alphabet="ab\t\n\r,|\\"), min_size=1), st.sampled_from(",|"))
+    def test_escaped_split_round_trip(self, values, sep):
+        text = sep.join(escape(v) for v in values)
+        assert [unescape(p) for p in _split_escaped(text, sep)] == values

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs on planted-cross data, plus the command line."""
 
+import shutil
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dnn2lr.cli import main
 from dnn2lr.config import parse_config_text
 from dnn2lr.crosslr import SparseLrModel
 from dnn2lr.data import save_csv
@@ -142,7 +144,24 @@ class TestRunAll:
         for a, b in zip(back.field_weights, model.field_weights):
             assert np.array_equal(a, b)
         assert back.cross_fields == model.cross_fields
-        assert back.cross_weights == model.cross_weights
+        for a, b in zip(back.cross_keys, model.cross_keys):
+            assert np.array_equal(a, b)
+        for a, b in zip(back.cross_weights, model.cross_weights):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "line", ["1,99\t5\n", "4,4\t5\n", "1,a\t5\n"], ids=["field-99", "same-field", "not-int"]
+    )
+    def test_train_lr_rejects_bad_candidates(self, finished_run, tmp_path, capsys, line):
+        _, _, ws, data_path = finished_run
+        shutil.copytree(ws.root, tmp_path / "work")
+        (tmp_path / "work" / "candidates.tsv").write_text("1,4\t9\n" + line)
+        conf_path = tmp_path / "run.conf"
+        conf_path.write_text(make_config_text(data_path, tmp_path / "work"))
+        code = main(["train-lr", "--config", str(conf_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ingest: ")
 
 
 class TestStageGuards:

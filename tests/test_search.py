@@ -179,8 +179,8 @@ class TestPrecompute:
         model = SparseLrModel([5, 5, 5])
         model.field_weights[0][:] = np.linspace(-1, 1, 5)
         model.bias = 0.25
-        model.attach_cross((0, 1), {(2, 2): 0.5, (3, 4): -0.5})
-        model.attach_cross((1, 2), {(4, 4): 1.0})
+        model.attach_cross((0, 1), [[2, 2], [3, 4]], [0.5, -0.5])
+        model.attach_cross((1, 2), [[4, 4]], [1.0])
         rng = np.random.default_rng(5)
         ids = rng.integers(0, 5, size=(40, 3)).astype(np.int32)
         base, cols = precompute_logit_columns(model, ids)
