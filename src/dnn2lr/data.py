@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import csv
 import re
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,20 +243,23 @@ class Vocabulary:
     def load(cls, path, field_names: list[str]) -> "Vocabulary":
         vocab = cls(field_names)
         position = {name: f for f, name in enumerate(field_names)}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise IngestionError(f"{path}: line {lineno}: expected 3 columns")
-                name, value, fid = parts[0], unescape(parts[1]), int(parts[2])
-                if name not in position:
-                    raise IngestionError(f"{path}: line {lineno}: unknown field {name!r}")
-                if vocab.add(position[name], value) != fid:
-                    raise IngestionError(f"{path}: line {lineno}: id {fid} breaks dense order")
+        for lineno, (name, value, fid) in read_tsv(path, 3):
+            if name not in position:
+                raise IngestionError(f"{path}: line {lineno}: unknown field {name!r}")
+            if not fid.isdigit() or vocab.add(position[name], unescape(value)) != int(fid):
+                raise IngestionError(f"{path}: line {lineno}: id {fid!r} out of order")
         return vocab
+
+
+def read_tsv(path, n_columns: int):
+    """Yield (line number, cells) for each non-empty line of a tab-separated file."""
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            cells = line.rstrip("\n").split("\t")
+            if cells != [""]:
+                if len(cells) != n_columns:
+                    raise IngestionError(f"{path}: line {lineno}: expected {n_columns} columns")
+                yield lineno, cells
 
 
 # Escapes for values stored in tab-separated artifacts. Bin labels are always
@@ -271,3 +277,30 @@ def escape(value: str) -> str:
 def unescape(value: str) -> str:
     """Inverse of escape; a backslash before any other character stays as it is."""
     return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m.group(1), m.group(0)), value, flags=re.S)
+
+
+# Every machine-read artifact is one .npz container of named arrays.
+def save_arrays(path, **arrays) -> None:
+    """Write named arrays into one .npz container; equal arrays give equal bytes."""
+    np.savez(path, **arrays)
+
+
+def load_arrays(path, spec: dict[str, tuple[type, int]]) -> dict[str, np.ndarray]:
+    """Read a save_arrays container holding exactly spec's names, as (dtype, ndim).
+
+    Every failure is an IngestionError naming the path.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    # zipfile's and numpy's errors, those of a decompressor or of the npy header
+    # tokenizer that a damaged byte can call up, and TypeError for a bare .npy
+    except (zipfile.BadZipFile, ValueError, EOFError, OSError, RuntimeError, zlib.error,
+            tokenize.TokenError, TypeError) as err:
+        raise IngestionError(f"{path}: unreadable array container: {err}") from None
+    if sorted(arrays) != sorted(spec):
+        raise IngestionError(f"{path}: holds arrays {sorted(arrays)}, expected {sorted(spec)}")
+    for name, (dtype, ndim) in spec.items():
+        if arrays[name].dtype != dtype or arrays[name].ndim != ndim:
+            raise IngestionError(f"{path}: array {name!r} is not {ndim}-d {np.dtype(dtype)}")
+    return arrays

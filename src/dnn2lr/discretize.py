@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MISSING, escape, unescape
+from .data import MISSING, escape, read_tsv, unescape
 from .errors import DiscretizationError, IngestionError, UndefinedMetricError
 from .metrics import auc
 
@@ -31,8 +31,9 @@ class BinEdges:
     cuts: tuple[float, ...]
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.cuts, self.cuts[1:])):
-            raise DiscretizationError(f"field {self.field}: cuts must be strictly increasing")
+        cuts = self.cuts
+        if any(map(math.isnan, cuts)) or any(b <= a for a, b in zip(cuts, cuts[1:])):
+            raise DiscretizationError(f"field {self.field}: cuts must be increasing numbers")
 
     def n_bins(self) -> int:
         return len(self.cuts) + 1
@@ -170,17 +171,13 @@ def save_edges(path, edges_by_name: dict[str, BinEdges]) -> None:
 
 def load_edges(path, name_to_index: dict[str, int]) -> dict[str, BinEdges]:
     out: dict[str, BinEdges] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise IngestionError(f"{path}: line {lineno}: expected 3 columns")
-            name = unescape(parts[0])
-            if name not in name_to_index:
-                raise IngestionError(f"{path}: line {lineno}: unknown field {name!r}")
-            cuts = tuple(float(c) for c in parts[2].split(",")) if parts[2] else ()
-            out[name] = BinEdges(field=name_to_index[name], granularity=int(parts[1]), cuts=cuts)
+    for lineno, (name, granularity, cuts) in read_tsv(path, 3):
+        name = unescape(name)
+        if name not in name_to_index:
+            raise IngestionError(f"{path}: line {lineno}: unknown field {name!r}")
+        try:
+            values = tuple(float(c) for c in cuts.split(",")) if cuts else ()
+            out[name] = BinEdges(name_to_index[name], int(granularity), values)
+        except (ValueError, DiscretizationError) as err:
+            raise IngestionError(f"{path}: line {lineno}: {err}") from None
     return out

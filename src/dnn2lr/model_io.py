@@ -157,8 +157,9 @@ def _weight(text: str) -> float:
     return value
 
 
-def iter_tagged(path):
-    """Yield (line number, tag, fields after the tag) for each line of a model file."""
+def load_exported(path) -> ExportedModel:
+    """Read a model file and compile it; any bad line fails naming its number."""
+    tagged: dict[str, list] = {tag: [] for tag in _ARITY}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
@@ -166,14 +167,7 @@ def iter_tagged(path):
                 parts = line.split("\t")
                 if _ARITY.get(parts[0]) != len(parts):
                     raise IngestionError(f"{path}: line {lineno}: bad line tag {parts[0]!r}")
-                yield lineno, parts[0], parts[1:]
-
-
-def load_exported(path) -> ExportedModel:
-    """Read a model file and compile it; any bad line fails naming its number."""
-    tagged: dict[str, list] = {tag: [] for tag in _ARITY}
-    for lineno, tag, parts in iter_tagged(path):
-        tagged[tag].append((lineno, parts))
+                tagged[parts[0]].append((lineno, parts[1:]))
     if not tagged["field"] or not tagged["bias"]:
         raise IngestionError(f"{path}: not a model file (missing field or bias lines)")
     lineno = 0

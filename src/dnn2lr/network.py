@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNSEEN_ID
+from .data import UNSEEN_ID, load_arrays, save_arrays
 from .errors import ConfigError, EncodingError, IngestionError, TrainingError
 from .metrics import auc
 
@@ -347,72 +347,46 @@ def train(
 
 
 # ---------------------------------------------------------------------- #
-# binary model file: int64 header (n, m, vocab sizes, layer dims, output
-# flag), then float64 blocks for embeddings and per-layer weights/biases.
-# Everything little-endian.
+# model file: one array container. The embedding tables are stacked into one
+# (sum V_f, m) table; dims = [n*m, hidden..., 1] cuts the flat layers apart.
 
 _OUTPUT_FLAGS = {OUTPUT_SIGMOID: 0, OUTPUT_IDENTITY: 1}
+_MODEL_ARRAYS = dict(
+    vocab_sizes=(np.int64, 1), embeddings=(np.float64, 2), dims=(np.int64, 1),
+    weights=(np.float64, 1), biases=(np.float64, 1), output=(np.int8, 0),
+)
 
 
 def save_model(model: EmbeddingDnn, path) -> None:
-    dims = [model.input_dim, *model.hidden, 1]
-    header = [
-        model.n_fields,
-        model.embedding_dim,
-        *model.vocab_sizes,
-        len(dims),
-        *dims,
-        _OUTPUT_FLAGS[model.output],
-    ]
-    blocks = [np.asarray(header, dtype="<i8").tobytes()]
-    for table in model.embeddings:
-        blocks.append(table.astype("<f8").tobytes())
-    for w, b in zip(model.weights, model.biases):
-        blocks.append(w.astype("<f8").tobytes())
-        blocks.append(b.astype("<f8").tobytes())
-    with open(path, "wb") as handle:
-        handle.write(b"".join(blocks))
+    save_arrays(
+        path,
+        vocab_sizes=np.array(model.vocab_sizes, dtype=np.int64),
+        embeddings=np.concatenate(model.embeddings),
+        dims=np.array([model.input_dim, *model.hidden, 1], dtype=np.int64),
+        weights=np.concatenate([w.ravel() for w in model.weights]),
+        biases=np.concatenate(model.biases),
+        output=np.int8(_OUTPUT_FLAGS[model.output]),
+    )
 
 
 def load_model(path) -> EmbeddingDnn:
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    ints = np.frombuffer(raw, dtype="<i8")
-    if ints.size < 2:
-        raise IngestionError(f"{path}: truncated model file")
-    n, m = int(ints[0]), int(ints[1])
-    cursor = 2
-    if ints.size < cursor + n + 1:
-        raise IngestionError(f"{path}: truncated model file")
-    vocab_sizes = [int(v) for v in ints[cursor : cursor + n]]
-    cursor += n
-    n_dims = int(ints[cursor])
-    cursor += 1
-    if ints.size < cursor + n_dims + 1:
-        raise IngestionError(f"{path}: truncated model file")
-    dims = [int(d) for d in ints[cursor : cursor + n_dims]]
-    cursor += n_dims
-    flag = int(ints[cursor])
-    cursor += 1
-    output = {v: k for k, v in _OUTPUT_FLAGS.items()}.get(flag)
-    if output is None or dims[0] != n * m or dims[-1] != 1:
-        raise IngestionError(f"{path}: inconsistent model header")
-    model = EmbeddingDnn(vocab_sizes, m, tuple(dims[1:-1]), output=output, seed=0)
-    floats = np.frombuffer(raw, dtype="<f8", offset=cursor * 8)
-    expected = sum(p.size for p in model._parameters())
-    if floats.size != expected:
-        raise IngestionError(
-            f"{path}: parameter block holds {floats.size} values, expected {expected}"
-        )
-    at = 0
-    for f in range(n):
-        size = vocab_sizes[f] * m
-        model.embeddings[f][...] = floats[at : at + size].reshape(vocab_sizes[f], m)
-        at += size
-    for i in range(len(dims) - 1):
-        size = dims[i] * dims[i + 1]
-        model.weights[i][...] = floats[at : at + size].reshape(dims[i], dims[i + 1])
-        at += size
-        model.biases[i][...] = floats[at : at + dims[i + 1]]
-        at += dims[i + 1]
+    """Read a model file; its arrays must agree in shape and hold finite floats."""
+    arrays = load_arrays(path, _MODEL_ARRAYS)
+    sizes, dims = arrays["vocab_sizes"].tolist(), arrays["dims"].tolist()
+    table, flat_w, flat_b = arrays["embeddings"], arrays["weights"], arrays["biases"]
+    output = {v: k for k, v in _OUTPUT_FLAGS.items()}.get(int(arrays["output"]))
+    shapes = list(zip(dims, dims[1:]))
+    counts = [a * b for a, b in shapes]
+    if not (output and len(dims) >= 2 and min(dims) >= 1 and dims[-1] == 1
+            and table.shape[0] == sum(sizes) and dims[0] == len(sizes) * table.shape[1]
+            and min(sizes) >= 2 and flat_w.size == sum(counts) and flat_b.size == sum(dims[1:])):
+        raise IngestionError(f"{path}: model arrays do not describe one network")
+    if not all(np.isfinite(a).all() for a in (table, flat_w, flat_b)):
+        raise IngestionError(f"{path}: model holds a non-finite parameter")
+    model = EmbeddingDnn(sizes, table.shape[1], tuple(dims[1:-1]), output=output, seed=0)
+    model.restore([
+        *np.split(table, np.cumsum(sizes)[:-1]),
+        *(w.reshape(s) for w, s in zip(np.split(flat_w, np.cumsum(counts)[:-1]), shapes)),
+        *np.split(flat_b, np.cumsum(dims[1:-1])),
+    ])
     return model

@@ -4,17 +4,17 @@ Each stage reads the artifacts of earlier stages and writes its own, so a run
 can be resumed or audited per stage. A missing prerequisite fails with
 "missing: <stage>" naming the stage that should have produced it. Re-running
 a stage with unchanged inputs rewrites byte-identical artifacts: every stage
-derives its randomness from the root seed salted with the stage name, and all
-floats are serialized with repr.
+derives its randomness from the root seed salted with the stage name. Text
+artifacts write floats with repr; the .npz array containers hold them exactly.
 
 Artifact map (inside the work directory)::
 
     ingest       train.csv valid.csv test.csv
-    discretize   edges.tsv vocab.tsv encoded_train.csv encoded_valid.csv encoded_test.csv
-    train-dnn    dnn.bin dnn_history.csv
-    inconsistency  inconsistency_d.csv feasible.csv
+    discretize   edges.tsv vocab.tsv encoded_train.npz encoded_valid.npz encoded_test.npz
+    train-dnn    dnn.npz dnn_history.csv
+    inconsistency  inconsistency_d.npz
     candidates   candidates.tsv
-    train-lr     lr_full.txt
+    train-lr     lr_full.npz
     search       selected.tsv search_log.txt
     export-model model_final.txt
     evaluate     report.txt
@@ -40,6 +40,7 @@ from .crosslr import (
     tune_phase1,
 )
 from .data import NUMERICAL, Dataset, RawTable, Vocabulary, load_csv, save_csv, split_table
+from .data import load_arrays, save_arrays
 from .discretize import apply_edges, load_edges, parse_numeric, save_edges, select_granularity
 from .errors import ConfigError, Dnn2LrError, IngestionError, StageError
 from .inconsistency import compute_inconsistency, feasible_matrix
@@ -58,15 +59,14 @@ class Workspace:
         self.test_csv = self.root / "test.csv"
         self.edges_tsv = self.root / "edges.tsv"
         self.vocab_tsv = self.root / "vocab.tsv"
-        self.encoded_train = self.root / "encoded_train.csv"
-        self.encoded_valid = self.root / "encoded_valid.csv"
-        self.encoded_test = self.root / "encoded_test.csv"
-        self.dnn_bin = self.root / "dnn.bin"
+        self.encoded_train = self.root / "encoded_train.npz"
+        self.encoded_valid = self.root / "encoded_valid.npz"
+        self.encoded_test = self.root / "encoded_test.npz"
+        self.dnn = self.root / "dnn.npz"
         self.dnn_history = self.root / "dnn_history.csv"
-        self.d_csv = self.root / "inconsistency_d.csv"
-        self.feasible_csv = self.root / "feasible.csv"
+        self.inconsistency_d = self.root / "inconsistency_d.npz"
         self.candidates_tsv = self.root / "candidates.tsv"
-        self.lr_full = self.root / "lr_full.txt"
+        self.lr_full = self.root / "lr_full.npz"
         self.selected_tsv = self.root / "selected.tsv"
         self.search_log = self.root / "search_log.txt"
         self.model_final = self.root / "model_final.txt"
@@ -84,44 +84,33 @@ def _stage_seed(config: PipelineConfig, stage: str) -> int:
     return zlib.crc32(f"{config.seed}:{stage}".encode("utf-8"))
 
 
-def _write_encoded(path: Path, dataset: Dataset, names: list[str], label: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names + [label])
-        for row, y in zip(dataset.ids, dataset.labels):
-            writer.writerow([int(v) for v in row] + [int(y)])
+def _write_encoded(path: Path, dataset: Dataset) -> None:
+    save_arrays(path, ids=dataset.ids, labels=dataset.labels)
 
 
-def _read_encoded(path: Path, n_fields: int, split: str = "") -> Dataset:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if len(header) != n_fields + 1:
-            raise IngestionError(f"{path}: expected {n_fields + 1} columns")
-        ids, labels = [], []
-        for cells in reader:
-            ids.append([int(v) for v in cells[:-1]])
-            labels.append(int(cells[-1]))
-    return Dataset(
-        ids=np.asarray(ids, dtype=np.int32),
-        labels=np.asarray(labels, dtype=np.int8),
-        split=split,
-    )
+def _read_encoded(path: Path, vocab_sizes: list[int], split: str = "") -> Dataset:
+    """One encoded split: ids inside each field's vocabulary, labels 0/1."""
+    arrays = load_arrays(path, {"ids": (np.int32, 2), "labels": (np.int8, 1)})
+    ids, labels = arrays["ids"], arrays["labels"]
+    if ids.shape[1] != len(vocab_sizes) or labels.size != ids.shape[0]:
+        raise IngestionError(f"{path}: ids {ids.shape} and labels {labels.shape} do not fit")
+    if (ids < 0).any() or (ids >= vocab_sizes).any():
+        raise IngestionError(f"{path}: ids outside the vocabulary")
+    if ((labels != 0) & (labels != 1)).any():
+        raise IngestionError(f"{path}: labels other than 0 and 1")
+    return Dataset(ids=ids, labels=labels, split=split)
 
 
-def _write_matrix(path: Path, matrix: np.ndarray, names: list[str], as_int: bool) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for row in matrix:
-            writer.writerow([int(v) for v in row] if as_int else [repr(float(v)) for v in row])
+def _write_matrix(path: Path, d: np.ndarray) -> None:
+    save_arrays(path, d=d)
 
 
-def _read_matrix(path: Path, dtype) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        return np.asarray([[dtype(v) for v in row] for row in reader])
+def _read_matrix(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """The inconsistency matrix D: finite, non-negative, one row per valid row."""
+    d = load_arrays(path, {"d": (np.float64, 2)})["d"]
+    if d.shape != shape or not (np.isfinite(d) & (d >= 0)).all():
+        raise IngestionError(f"{path}: D must be {shape} (the valid split), finite, non-negative")
+    return d
 
 
 # ---------------------------------------------------------------------- #
@@ -184,9 +173,9 @@ def stage_discretize(config: PipelineConfig) -> None:
     names = [f.name for f in config.fields]
     vocab = Vocabulary.build(names, train_part.rows)
     vocab.save(ws.vocab_tsv)
-    _write_encoded(ws.encoded_train, vocab.encode_table(train_part), names, config.label)
-    _write_encoded(ws.encoded_valid, vocab.encode_table(valid_part), names, config.label)
-    _write_encoded(ws.encoded_test, vocab.encode_table(test_part), names, config.label)
+    _write_encoded(ws.encoded_train, vocab.encode_table(train_part))
+    _write_encoded(ws.encoded_valid, vocab.encode_table(valid_part))
+    _write_encoded(ws.encoded_test, vocab.encode_table(test_part))
 
 
 def _load_vocab(config: PipelineConfig) -> Vocabulary:
@@ -195,22 +184,19 @@ def _load_vocab(config: PipelineConfig) -> Vocabulary:
     return Vocabulary.load(ws.vocab_tsv, [f.name for f in config.fields])
 
 
-def _load_encoded(config: PipelineConfig) -> tuple[Dataset, Dataset, Dataset]:
+def _load_encoded(config: PipelineConfig) -> tuple[Vocabulary, Dataset, Dataset]:
+    """The vocabulary, and the train and valid splits checked against it."""
     ws = Workspace(config.workdir)
-    _require("discretize", ws.encoded_train, ws.encoded_valid, ws.encoded_test)
-    n = len(config.fields)
-    return (
-        _read_encoded(ws.encoded_train, n, "train"),
-        _read_encoded(ws.encoded_valid, n, "valid"),
-        _read_encoded(ws.encoded_test, n, "test"),
-    )
+    _require("discretize", ws.encoded_train, ws.encoded_valid)
+    vocab = _load_vocab(config)
+    train = _read_encoded(ws.encoded_train, vocab.sizes(), "train")
+    return vocab, train, _read_encoded(ws.encoded_valid, vocab.sizes(), "valid")
 
 
 def stage_train_dnn(config: PipelineConfig) -> None:
     """Fit the embedding network and persist it with its training history."""
     ws = Workspace(config.workdir)
-    vocab = _load_vocab(config)
-    train_set, valid_set, _ = _load_encoded(config)
+    vocab, train_set, valid_set = _load_encoded(config)
     seed = _stage_seed(config, "train-dnn")
     model = EmbeddingDnn(
         vocab.sizes(),
@@ -234,7 +220,7 @@ def stage_train_dnn(config: PipelineConfig) -> None:
             seed=seed,
         ),
     )
-    save_model(model, ws.dnn_bin)
+    save_model(model, ws.dnn)
     with open(ws.dnn_history, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["epoch", "train_loss", "valid_metric"])
@@ -243,66 +229,82 @@ def stage_train_dnn(config: PipelineConfig) -> None:
 
 
 def stage_inconsistency(config: PipelineConfig) -> None:
-    """Compute the inconsistency matrix D and the feasible mask D* on valid."""
+    """Compute the inconsistency matrix D on the validation split."""
     ws = Workspace(config.workdir)
-    _require("train-dnn", ws.dnn_bin)
-    _, valid_set, _ = _load_encoded(config)
-    model = load_model(ws.dnn_bin)
+    _require("train-dnn", ws.dnn)
+    vocab, _, valid_set = _load_encoded(config)
+    model = load_model(ws.dnn)
+    if model.vocab_sizes != vocab.sizes():
+        raise IngestionError(f"{ws.dnn}: network built for another vocabulary")
     result = compute_inconsistency(
         model, valid_set.ids, space=config.gradient_space, mode=config.inconsistency_mode
     )
-    feasible = feasible_matrix(result.d, config.eta)
-    names = [f.name for f in config.fields]
-    _write_matrix(ws.d_csv, result.d, names, as_int=False)
-    _write_matrix(ws.feasible_csv, feasible.astype(np.int8), names, as_int=True)
+    _write_matrix(ws.inconsistency_d, result.d)
 
 
 def stage_candidates(config: PipelineConfig) -> None:
-    """Count feasible co-occurrences and keep the top-epsilon cross fields."""
+    """Mark the top-eta of D feasible, count co-occurrences, keep the top epsilon."""
     ws = Workspace(config.workdir)
-    _require("inconsistency", ws.d_csv, ws.feasible_csv)
-    d = _read_matrix(ws.d_csv, float)
-    feasible = _read_matrix(ws.feasible_csv, int).astype(bool)
+    _require("inconsistency", ws.inconsistency_d)
+    _, _, valid_set = _load_encoded(config)
+    d = _read_matrix(ws.inconsistency_d, valid_set.ids.shape)
+    feasible = feasible_matrix(d, config.eta)
     counts = enumerate_candidates(feasible, d, field_cap=config.feasible_cap)
     top = top_epsilon(counts, config.resolve_epsilon(len(config.fields)))
     save_candidates(ws.candidates_tsv, top)
 
 
+_LR_FULL_ARRAYS = dict(
+    bias=(np.float64, 0), field_sizes=(np.int64, 1), field_weights=(np.float64, 1),
+    cross_orders=(np.int64, 1), cross_fields=(np.int64, 1), cross_sizes=(np.int64, 1),
+    cross_ids=(np.int64, 1), cross_weights=(np.float64, 1),
+)
+
+
 def save_lr_full(path, model: SparseLrModel) -> None:
-    """Internal id-keyed dump of the fully trained two-phase model."""
-    lines = [f"bias\t{model.bias!r}"]
-    for f, weights in enumerate(model.field_weights):
-        for fid, weight in enumerate(weights.tolist()):
-            lines.append(f"w\t{f}\t{fid}\t{weight!r}")
-    for fields, keys, weights in zip(model.cross_fields, model.cross_keys, model.cross_weights):
-        key = ",".join(str(f) for f in fields)
-        lines.append(f"cross\t{key}")
-        combos = split_keys(keys, [model.vocab_sizes[f] for f in fields])
-        for ids_row, weight in zip(combos.tolist(), weights.tolist()):
-            lines.append(f"cw\t{key}\t{','.join(map(str, ids_row))}\t{weight!r}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    """The two-phase model as one container: flat arrays, cut per field and per cross.
+
+    A cross's entries are stored as member-id rows, as its keys may not fit int64.
+    """
+    radices = [[model.vocab_sizes[f] for f in fields] for fields in model.cross_fields]
+    ids = [split_keys(keys, r).ravel() for keys, r in zip(model.cross_keys, radices)]
+    save_arrays(
+        path,
+        bias=np.float64(model.bias),
+        field_sizes=np.array(model.vocab_sizes, dtype=np.int64),
+        field_weights=np.concatenate(model.field_weights),
+        cross_orders=np.array([len(c) for c in model.cross_fields], dtype=np.int64),
+        cross_fields=np.array([f for c in model.cross_fields for f in c], dtype=np.int64),
+        cross_sizes=np.array([w.size for w in model.cross_weights], dtype=np.int64),
+        cross_ids=np.concatenate([np.empty(0, dtype=np.int64), *ids]),
+        cross_weights=np.concatenate([np.empty(0), *model.cross_weights]),
+    )
 
 
 def load_lr_full(path, vocab_sizes: list[int]) -> SparseLrModel:
+    """Read save_lr_full's file for a vocabulary of ``vocab_sizes``; validates all of it."""
+    a = load_arrays(path, _LR_FULL_ARRAYS)
+    if a["field_sizes"].tolist() != vocab_sizes or a["field_weights"].size != sum(vocab_sizes):
+        raise IngestionError(f"{path}: written for another vocabulary")
+    if not all(np.isfinite(a[k]).all() for k in ("bias", "field_weights", "cross_weights")):
+        raise IngestionError(f"{path}: non-finite weight")
+    orders, entries = a["cross_orders"].tolist(), a["cross_sizes"].tolist()
+    spans = [o * e for o, e in zip(orders, entries)]
+    lengths = {"cross_fields": orders, "cross_ids": spans, "cross_weights": entries}  # per cross
+    if len(orders) != len(entries) or min(orders + entries, default=0) < 0 or any(
+        sum(n) != a[k].size for k, n in lengths.items()
+    ):
+        raise IngestionError(f"{path}: cross arrays disagree in length")
     model = SparseLrModel(vocab_sizes)
-    tables: dict[str, tuple[list[int], list[float]]] = {}  # flat member ids, weights
-    lineno = 0
+    model.bias = float(a["bias"])
+    model.field_weights = np.split(a["field_weights"], np.cumsum(vocab_sizes)[:-1])
+    # Cut at every running total and drop the empty tail: no crosses, no pieces.
+    tables = zip(*(np.split(a[k], np.cumsum(n))[:-1] for k, n in lengths.items()))
     try:
-        for lineno, tag, parts in model_io.iter_tagged(path):
-            if tag == "bias":
-                model.bias = float(parts[0])
-            elif tag == "w":
-                model.field_weights[int(parts[0])][int(parts[1])] = float(parts[2])
-            elif tag == "cross":
-                tables[parts[0]] = ([], [])
-            elif tag == "cw":
-                tables[parts[0]][0].extend(int(v) for v in parts[1].split(","))
-                tables[parts[0]][1].append(float(parts[2]))
-        for key, (combos, weights) in tables.items():
-            model.attach_cross([int(v) for v in key.split(",")], combos, weights)
-    except (IndexError, KeyError, ValueError, ConfigError) as err:
-        raise IngestionError(f"{path}: line {lineno}: {err}") from None
+        for fields, ids, weights in tables:
+            model.attach_cross(tuple(fields.tolist()), ids, weights)
+    except ConfigError as err:
+        raise IngestionError(f"{path}: {err}") from None
     return model
 
 
@@ -310,8 +312,7 @@ def stage_train_lr(config: PipelineConfig) -> None:
     """Two-phase logistic regression over originals plus candidate crosses."""
     ws = Workspace(config.workdir)
     _require("candidates", ws.candidates_tsv)
-    vocab = _load_vocab(config)
-    train_set, valid_set, _ = _load_encoded(config)
+    vocab, train_set, valid_set = _load_encoded(config)
     cands = load_candidates(ws.candidates_tsv, len(config.fields))
     seed = _stage_seed(config, "train-lr")
     lr = config.lr
@@ -335,8 +336,7 @@ def stage_search(config: PipelineConfig) -> None:
     """Select cross features on the validation split; log every step."""
     ws = Workspace(config.workdir)
     _require("train-lr", ws.lr_full)
-    vocab = _load_vocab(config)
-    _, valid_set, _ = _load_encoded(config)
+    vocab, _, valid_set = _load_encoded(config)
     model = load_lr_full(ws.lr_full, vocab.sizes())
     base, columns = precompute_logit_columns(model, valid_set.ids)
     if config.beam_width > 1:

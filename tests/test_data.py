@@ -1,4 +1,6 @@
-"""Schema, CSV ingestion, splitting, vocabulary encoding."""
+"""Schema, CSV ingestion, splitting, vocabulary encoding, the array container."""
+
+import io
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from dnn2lr.data import (
     RawTable,
     Vocabulary,
     check_schema,
+    load_arrays,
     load_csv,
+    save_arrays,
     save_csv,
     split_table,
 )
@@ -210,3 +214,42 @@ class TestVocabulary:
         assert ds.ids.shape == (2, 2)
         assert ds.labels.tolist() == [0, 1]
         assert ds.labels.dtype == np.int8
+
+
+SPEC = {"ids": (np.int32, 2), "labels": (np.int8, 1)}
+
+
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+class TestArrayContainer:
+    def test_round_trip_is_exact_and_byte_stable(self, tmp_path):
+        ids, labels = np.arange(6, dtype=np.int32).reshape(3, 2), np.array([0, 1, 1], np.int8)
+        save_arrays(tmp_path / "a.npz", ids=ids, labels=labels)
+        save_arrays(tmp_path / "b.npz", ids=ids.copy(), labels=labels.copy())
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+        back = load_arrays(tmp_path / "a.npz", SPEC)
+        assert np.array_equal(back["ids"], ids) and np.array_equal(back["labels"], labels)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda p: save_arrays(p, ids=np.zeros((1, 2), np.int32)),
+            lambda p: save_arrays(p, ids=np.zeros((1, 2), np.int32), labels=np.zeros(1, np.int8),
+                                  extra=np.zeros(1)),
+            lambda p: save_arrays(p, ids=np.zeros((1, 2), np.int64), labels=np.zeros(1, np.int8)),
+            lambda p: save_arrays(p, ids=np.zeros(2, np.int32), labels=np.zeros(1, np.int8)),
+            lambda p: p.write_bytes(npy_bytes(np.zeros((1, 2), np.int32))),
+            lambda p: p.write_text("ids,labels\n1,0\n"),
+            lambda p: p.write_bytes(b""),
+        ],
+        ids=["name-missing", "name-extra", "wrong-dtype", "wrong-ndim", "bare-npy", "text", "empty"],
+    )
+    def test_bad_container_is_an_ingestion_error_naming_the_path(self, tmp_path, write):
+        path = tmp_path / "c.npz"
+        write(path)
+        with pytest.raises(IngestionError, match="c.npz"):
+            load_arrays(path, SPEC)

@@ -202,14 +202,21 @@ class TestLoadValidation:
             XY_MODEL.format(bias=0.5, wa=1.0).replace("a|b\t2.0", "a|b\t-inf"),
             XY_MODEL.format(bias=0.5, wa=1.0).replace("a|b", "a|c"),
             XY_MODEL.format(bias=0.5, wa=1.0).replace("x,y", "x,zz"),
+            XY_MODEL.format(bias=0.5, wa=1.0).replace(
+                "0\tx\tcategorical", "0\tx\tnumerical\nedges\tx\t10\tnan,1.0"
+            ),
+            XY_MODEL.format(bias=0.5, wa=1.0).replace(
+                "0\tx\tcategorical", "0\tx\tnumerical\nedges\tx\t10\tnan"
+            ),
         ],
-        ids=["nan-bias", "inf-w", "inf-cw", "cw-value-without-w-line", "cross-unknown-field"],
+        ids=["nan-bias", "inf-w", "inf-cw", "cw-value-without-w-line", "cross-unknown-field",
+             "nan-cut", "lone-nan-cut"],
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "m.txt"
         path.write_text(text)
         data = tmp_path / "d.csv"
-        data.write_text("x,y,label\na,b,1\nq,q,0\n")
+        data.write_text("x,y,label\n0.5,b,1\n2,q,0\n")
         code = main(["evaluate", "--model", str(path), "--data", str(data), "--label", "label"])
         err = capsys.readouterr().err
         assert code == 1

@@ -213,7 +213,7 @@ class TestModelFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
         model = EmbeddingDnn([8, 12, 6], embedding_dim=5, hidden=(10, 4), seed=13)
-        path = tmp_path / "net.bin"
+        path = tmp_path / "net.npz"
         save_model(model, path)
         back = load_model(path)
         ids = rng.integers(0, 6, size=(50, 3)).astype(np.int32)
@@ -221,18 +221,36 @@ class TestModelFile:
         assert back.vocab_sizes == model.vocab_sizes
         assert back.hidden == model.hidden
         assert back.output == model.output
+        save_model(back, tmp_path / "again.npz")
+        assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
 
     def test_identity_flag_survives(self, tmp_path):
         model = EmbeddingDnn([5, 5], embedding_dim=2, hidden=(4,), output=OUTPUT_IDENTITY)
-        path = tmp_path / "net.bin"
+        path = tmp_path / "net.npz"
         save_model(model, path)
         assert load_model(path).output == OUTPUT_IDENTITY
 
     def test_truncated_file_rejected(self, tmp_path):
         model = EmbeddingDnn([5, 5], embedding_dim=2, hidden=(4,))
-        path = tmp_path / "net.bin"
+        path = tmp_path / "net.npz"
         save_model(model, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(IngestionError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("weights", np.nan), ("embeddings", np.inf), ("dims", 7), ("vocab_sizes", 6),
+         ("output", 2)],
+    )
+    def test_bad_array_rejected(self, tmp_path, name, value):
+        model = EmbeddingDnn([5, 5], embedding_dim=2, hidden=(4,))
+        path = tmp_path / "net.npz"
+        save_model(model, path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays[name].flat[0] = value
+        np.savez(path, **arrays)
         with pytest.raises(IngestionError):
             load_model(path)

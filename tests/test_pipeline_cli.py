@@ -1,9 +1,11 @@
 """End-to-end pipeline runs on planted-cross data, plus the command line."""
 
+import re
 import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from dnn2lr.cli import main
 from dnn2lr.config import parse_config_text
 from dnn2lr.crosslr import SparseLrModel
-from dnn2lr.data import save_csv
+from dnn2lr.data import Vocabulary, save_csv
 from dnn2lr.errors import StageError
 from dnn2lr.pipeline import (
     STAGE_ORDER,
@@ -75,17 +77,33 @@ def finished_run(tmp_path_factory):
     return config, report, Workspace(root / "work"), data_path
 
 
+def artifact_paths(ws):
+    """Every artifact path a Workspace defines."""
+    return [path for name, path in vars(ws).items() if name != "root"]
+
+
+def run_on_copy(finished_run, tmp_path, capsys, stage, name, corrupt):
+    """Run one stage through the CLI on a copy of the finished run with one file changed."""
+    _, _, ws, data_path = finished_run
+    shutil.copytree(ws.root, tmp_path / "work")
+    corrupt(tmp_path / "work" / name)
+    conf_path = tmp_path / "run.conf"
+    conf_path.write_text(make_config_text(data_path, tmp_path / "work"))
+    code = main([stage, "--config", str(conf_path)])
+    return code, capsys.readouterr().err
+
+
 class TestRunAll:
     def test_every_artifact_written(self, finished_run):
         _, _, ws, _ = finished_run
-        for path in (
-            ws.train_csv, ws.valid_csv, ws.test_csv,
-            ws.vocab_tsv, ws.encoded_train, ws.encoded_valid, ws.encoded_test,
-            ws.dnn_bin, ws.dnn_history, ws.d_csv, ws.feasible_csv,
-            ws.candidates_tsv, ws.lr_full, ws.selected_tsv, ws.search_log,
-            ws.model_final, ws.report,
-        ):
-            assert path.exists(), path
+        assert set(ws.root.iterdir()) == set(artifact_paths(ws))
+
+    def test_readme_stage_table_names_every_artifact(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = [line.split("|") for line in readme.splitlines() if line.startswith("| `")]
+        listed = [name for row in rows for name in re.findall(r"`([^`]+)`", row[2])]
+        assert [row[1].strip(" `") for row in rows] == STAGE_ORDER
+        assert sorted(listed) == sorted(p.name for p in artifact_paths(Workspace(tmp_path)))
 
     def test_report_contents(self, finished_run):
         _, report, ws, _ = finished_run
@@ -132,11 +150,9 @@ class TestRunAll:
 
     def test_lr_full_round_trip(self, finished_run, tmp_path):
         config, _, ws, _ = finished_run
-        from dnn2lr.data import Vocabulary
-
         vocab = Vocabulary.load(ws.vocab_tsv, [f.name for f in config.fields])
         model = load_lr_full(ws.lr_full, vocab.sizes())
-        copy_path = tmp_path / "lr_copy.txt"
+        copy_path = tmp_path / "lr_copy.npz"
         save_lr_full(copy_path, model)
         assert copy_path.read_bytes() == ws.lr_full.read_bytes()
         back = load_lr_full(copy_path, vocab.sizes())
@@ -153,15 +169,80 @@ class TestRunAll:
         "line", ["1,99\t5\n", "4,4\t5\n", "1,a\t5\n"], ids=["field-99", "same-field", "not-int"]
     )
     def test_train_lr_rejects_bad_candidates(self, finished_run, tmp_path, capsys, line):
-        _, _, ws, data_path = finished_run
-        shutil.copytree(ws.root, tmp_path / "work")
-        (tmp_path / "work" / "candidates.tsv").write_text("1,4\t9\n" + line)
-        conf_path = tmp_path / "run.conf"
-        conf_path.write_text(make_config_text(data_path, tmp_path / "work"))
-        code = main(["train-lr", "--config", str(conf_path)])
-        err = capsys.readouterr().err
+        code, err = run_on_copy(
+            finished_run, tmp_path, capsys, "train-lr", "candidates.tsv",
+            lambda path: path.write_text("1,4\t9\n" + line),
+        )
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ingest: ")
+
+
+def truncate(size):
+    return lambda path: path.write_bytes(path.read_bytes()[:size])
+
+
+def set_cell(name, index, value):
+    """Rewrite one cell of one array of a container."""
+
+    def corrupt(path):
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays[name][index] = value
+        np.savez(path, **arrays)
+
+    return corrupt
+
+
+def replace_text(old, new):
+    return lambda path: path.write_text(path.read_text().replace(old, new, 1))
+
+
+class TestArtifactReaders:
+    """Each bad artifact fails the stage reading it with one error line naming the file."""
+
+    @pytest.mark.parametrize(
+        "stage, name, corrupt",
+        [
+            ("train-dnn", "encoded_train.npz", set_cell("ids", (0, 0), 999)),
+            ("train-dnn", "encoded_valid.npz", set_cell("labels", 0, 2)),
+            ("inconsistency", "dnn.npz", truncate(500)),
+            ("inconsistency", "dnn.npz", set_cell("weights", 0, np.nan)),
+            ("candidates", "inconsistency_d.npz", set_cell("d", (0, 0), np.nan)),
+            ("candidates", "inconsistency_d.npz", set_cell("d", (0, 0), -1.0)),
+            ("search", "lr_full.npz", set_cell("cross_ids", 0, -1)),
+            ("search", "lr_full.npz", set_cell("cross_ids", 0, 10**6)),
+            ("search", "lr_full.npz", lambda path: save_lr_full(path, SparseLrModel([3] * 8))),
+            ("train-lr", "vocab.tsv", replace_text("\t2\n", "\tx\n")),
+            ("export-model", "edges.tsv", lambda path: path.write_text("f00\t10\tnan,1.0\n")),
+            ("export-model", "edges.tsv", lambda path: path.write_text("f00\tten\t1.0\n")),
+        ],
+        ids=[
+            "id-999", "label-2", "dnn-cut-to-500-bytes", "dnn-nan-weight", "d-nan", "d-negative",
+            "member-id-negative", "member-id-out-of-range", "lr-other-vocabulary",
+            "vocab-id-not-int", "edges-nan-cut", "edges-granularity-not-int",
+        ],
+    )
+    def test_rejected_with_one_line(self, finished_run, tmp_path, capsys, stage, name, corrupt):
+        code, err = run_on_copy(finished_run, tmp_path, capsys, stage, name, corrupt)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ingest: ")
+        assert name in err
+
+
+def test_lr_full_holds_a_cross_wider_than_int64(tmp_path):
+    sizes = [100_003] * 4  # the 4-way span, about 1e20, exceeds int64
+    model = SparseLrModel(sizes)
+    model.bias = 0.1
+    ids = [[2, 3, 4, 5], [100_002] * 4, [7, 0, 100_001, 9]]
+    model.attach_cross((0, 1, 2, 3), ids, [0.5, -1.25, 3e-17])
+    assert model.cross_keys[0].dtype == object
+    path = tmp_path / "lr_full.npz"
+    save_lr_full(path, model)
+    back = load_lr_full(path, sizes)
+    assert back.cross_keys[0].tolist() == model.cross_keys[0].tolist()
+    assert back.cross_weights[0].tolist() == model.cross_weights[0].tolist()
+    save_lr_full(tmp_path / "again.npz", back)
+    assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
 
 
 class TestStageGuards:
