@@ -109,9 +109,14 @@ def save_candidates(path, candidates: list[CrossFieldCandidate]) -> None:
             handle.write(",".join(str(f) for f in cand.fields) + f"\t{cand.count}\n")
 
 
-def load_candidates(path, n_fields: int) -> list[CrossFieldCandidate]:
-    """Read a candidates file whose crosses must name distinct fields below n_fields."""
-    out: list[CrossFieldCandidate] = []
+def read_cross_lines(path, n_fields: int, number=int) -> list[tuple[tuple[int, ...], object]]:
+    """The ``fields<TAB>number`` lines of a cross file, as (fields, number(cell)) pairs.
+
+    The fields cell is comma-joined integers naming 2 to 4 distinct fields
+    below n_fields. Any other line raises an IngestionError naming the path
+    and the line number.
+    """
+    out = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -121,14 +126,19 @@ def load_candidates(path, n_fields: int) -> list[CrossFieldCandidate]:
             if len(parts) != 2:
                 raise IngestionError(f"{path}: line {lineno}: expected 2 columns")
             try:
-                fields, count = tuple(int(f) for f in parts[0].split(",")), int(parts[1])
+                fields, value = tuple(int(f) for f in parts[0].split(",")), number(parts[1])
             except ValueError:
-                raise IngestionError(f"{path}: line {lineno}: non-integer cell") from None
+                raise IngestionError(f"{path}: line {lineno}: unreadable cell") from None
             if not MIN_ORDER <= len(fields) <= MAX_ORDER:
                 raise IngestionError(f"{path}: line {lineno}: bad candidate order")
             if len(set(fields)) != len(fields) or not all(0 <= f < n_fields for f in fields):
                 raise IngestionError(
                     f"{path}: line {lineno}: fields must be distinct and in 0..{n_fields - 1}"
                 )
-            out.append(CrossFieldCandidate(fields=fields, count=count))
+            out.append((fields, value))
     return out
+
+
+def load_candidates(path, n_fields: int) -> list[CrossFieldCandidate]:
+    """Read a candidates file whose crosses must name distinct fields below n_fields."""
+    return [CrossFieldCandidate(fields=f, count=c) for f, c in read_cross_lines(path, n_fields)]

@@ -24,7 +24,7 @@ import numpy as np
 from .candidates import MAX_ORDER, MIN_ORDER
 from .errors import ConfigError, EncodingError, TrainingError
 from .metrics import auc
-from .network import stable_sigmoid
+from .network import fit_with_early_stopping, stable_sigmoid
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 LR_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0)
@@ -203,61 +203,42 @@ class SparseLrModel:
 def _fit_tables(weights, codes, valid_codes, base, valid_base, labels, valid_labels, config, bias):
     """Minibatch SGD on lookup tables over a fixed base logit; both phases use it.
 
-    Row k's logit is ``base[k] + sum_t weights[t][codes[t][k]]``, plus ``bias``
-    unless it is None (a float bias is fitted too); a valid code of -1
-    contributes 0. Early stopping mirrors the network trainer: the epoch with
-    the best validation AUC is restored into ``weights`` in place, patience
-    counts consecutive non-improvements. Returns the history and the bias.
+    Row k's logit is ``base[k] + sum_t weights[t][codes[t][k]]``, plus
+    ``bias[0]`` unless ``bias`` is None (a one-element array is fitted too); a
+    valid code of -1 contributes 0. The epoch loop is the network's
+    fit_with_early_stopping, scored by validation AUC: the best epoch's tables
+    and bias are restored in place. Returns the history.
     """
     config.validate()
     y = np.asarray(labels, dtype=np.float64).ravel()
     y_valid = np.asarray(valid_labels, dtype=np.float64).ravel()
     if len(set(y_valid.tolist())) < 2:
         raise TrainingError("validation split has a single class; AUC is undefined")
-    rng = np.random.default_rng(config.seed)
-    best_auc = -np.inf
-    best: tuple[list[np.ndarray], float | None] | None = None
-    stall = 0
-    history: list[dict] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(y.size)
-        loss_sum = 0.0
-        for start in range(0, y.size, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            logit = base[batch]
-            for w, c in zip(weights, codes):
-                logit += w[c[batch]]
-            p = stable_sigmoid(logit if bias is None else logit + bias)
-            yb = y[batch]
-            loss_sum -= float(np.sum(yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)))
-            residual = (p - yb) / batch.size
-            for w, c in zip(weights, codes):
-                grad = np.bincount(c[batch], weights=residual, minlength=w.size)
-                w -= config.learning_rate * (grad + config.l2 * w)
-            if bias is not None:
-                bias -= config.learning_rate * float(residual.sum())
-        epoch_loss = loss_sum / y.size
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"non-finite training loss at epoch {epoch}")
+
+    def step(batch: np.ndarray) -> float:
+        logit = base[batch]
+        for w, c in zip(weights, codes):
+            logit += w[c[batch]]
+        p = stable_sigmoid(logit if bias is None else logit + bias)
+        yb = y[batch]
+        residual = (p - yb) / batch.size
+        for w, c in zip(weights, codes):
+            grad = np.bincount(c[batch], weights=residual, minlength=w.size)
+            w -= config.learning_rate * (grad + config.l2 * w)
+        if bias is not None:
+            bias[0] -= config.learning_rate * float(residual.sum())
+        return -float(np.sum(yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)))
+
+    def validate() -> tuple[float, float]:
         valid_logit = valid_base.copy()
         for w, c in zip(weights, valid_codes):
             valid_logit += np.where(c >= 0, w[c], 0.0)
         valid_logit = valid_logit if bias is None else valid_logit + bias
         valid_auc = auc(y_valid, stable_sigmoid(valid_logit))
-        history.append({"epoch": epoch, "train_loss": epoch_loss, "valid_auc": valid_auc})
-        if valid_auc > best_auc:
-            best_auc = valid_auc
-            best = ([w.copy() for w in weights], bias)
-            stall = 0
-        else:
-            stall += 1
-            if stall >= config.patience:
-                break
-    if best is not None:
-        for w, saved in zip(weights, best[0]):
-            w[...] = saved
-        bias = best[1]
-    return history, bias
+        return valid_auc, valid_auc
+
+    params = [*weights] if bias is None else [*weights, bias]
+    return fit_with_early_stopping(params, y.size, config, step, validate)
 
 
 def train_phase1(
@@ -271,10 +252,12 @@ def train_phase1(
     """Fit original-field weights and the bias: one table per field, zero base."""
     ids = model._check_ids(train_ids)
     valid = model._check_ids(valid_ids)
-    history, model.bias = _fit_tables(
+    bias = np.array([model.bias])
+    history = _fit_tables(
         model.field_weights, list(ids.T), list(valid.T), np.zeros(len(ids)), np.zeros(len(valid)),
-        train_labels, valid_labels, config or LrConfig(), model.bias,
+        train_labels, valid_labels, config or LrConfig(), bias,
     )
+    model.bias = float(bias[0])
     return history
 
 
@@ -307,7 +290,7 @@ def train_phase2(
         codes.append(inverse.ravel())
         valid_codes.append(_find(np.append(uniq, keys.span), keys.encode(valid)[:, 0]))
     weights = [np.zeros(uniq.size) for uniq in uniqs]
-    history, _ = _fit_tables(
+    history = _fit_tables(
         weights, codes, valid_codes, model.logits(ids, active=[]), model.logits(valid, active=[]),
         train_labels, valid_labels, config or LrConfig(), None,
     )
@@ -337,7 +320,7 @@ def tune_phase1(
         trial = dataclasses.replace(base, learning_rate=lr, l2=l2)
         model = SparseLrModel(vocab_sizes)
         history = train_phase1(model, train_ids, train_labels, valid_ids, valid_labels, trial)
-        score = max(h["valid_auc"] for h in history)
+        score = max(h["valid_metric"] for h in history)
         if best is None or score > best[2]:
             best = (lr, l2, score)
     assert best is not None

@@ -25,18 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .network import EmbeddingDnn
+from .network import EmbeddingDnn, field_offsets, sum_rows_into
 
 INCONSISTENCY_MODES = ("scalar", "elementwise")
 
 
 @dataclass
 class InconsistencyResult:
-    """Per-sample inconsistency plus the pieces it was computed from."""
+    """Per-sample inconsistency."""
 
     d: np.ndarray  # (K, n) inconsistency values
-    local: np.ndarray  # (K, n, m) local weight vectors
-    global_table: list[np.ndarray]  # per field: (V_f, m) mean weight per value
 
 
 def local_weight_matrix(
@@ -48,34 +46,27 @@ def local_weight_matrix(
 
 def global_weight_table(
     local: np.ndarray, ids: np.ndarray, vocab_sizes: list[int]
-) -> list[np.ndarray]:
-    """Mean local weight vector per feature value.
+) -> np.ndarray:
+    """Mean local weight vector per feature value: (sum V_f, m).
 
-    Values that never occur in ``ids`` keep a zero row; they are never looked
-    up by expand_global, so the zeros are inert placeholders.
+    The fields' rows are stacked as in the network's embedding table: field
+    f's value v sits at row ``field_offsets(vocab_sizes)[f] + v``. Values that
+    never occur in ``ids`` keep a zero row; they are never looked up by
+    expand_global, so the zeros are inert placeholders.
     """
-    _, n, m = local.shape
-    ids = np.asarray(ids)
-    tables = []
-    for f in range(n):
-        sums = np.zeros((vocab_sizes[f], m), dtype=np.float64)
-        np.add.at(sums, ids[:, f], local[:, f, :])
-        counts = np.bincount(ids[:, f], minlength=vocab_sizes[f]).astype(np.float64)
-        seen = counts > 0
-        sums[seen] /= counts[seen, None]
-        tables.append(sums)
-    return tables
+    m = local.shape[2]
+    rows = (np.asarray(ids) + field_offsets(vocab_sizes)).ravel()
+    sums = np.empty((sum(vocab_sizes), m), dtype=np.float64)
+    sum_rows_into(sums, rows, local.reshape(-1, m))
+    counts = np.bincount(rows, minlength=sums.shape[0]).astype(np.float64)
+    seen = counts > 0
+    sums[seen] /= counts[seen, None]
+    return sums
 
 
-def expand_global(global_table: list[np.ndarray], ids: np.ndarray) -> np.ndarray:
+def expand_global(table: np.ndarray, ids: np.ndarray, vocab_sizes: list[int]) -> np.ndarray:
     """Look the per-value means back up per sample: (K, n, m)."""
-    ids = np.asarray(ids)
-    k, n = ids.shape
-    m = global_table[0].shape[1]
-    out = np.empty((k, n, m), dtype=np.float64)
-    for f in range(n):
-        out[:, f, :] = global_table[f][ids[:, f]]
-    return out
+    return table[np.asarray(ids) + field_offsets(vocab_sizes)]
 
 
 def inconsistency_values(
@@ -104,11 +95,11 @@ def compute_inconsistency(
     ids = np.asarray(ids)
     local = local_weight_matrix(model, ids, space=space)
     table = global_weight_table(local, ids, model.vocab_sizes)
-    global_rows = expand_global(table, ids)
+    global_rows = expand_global(table, ids, model.vocab_sizes)
     m = model.embedding_dim
     emb = model.embed(ids).reshape(ids.shape[0], model.n_fields, m)
     d = inconsistency_values(local, global_rows, emb, mode=mode)
-    return InconsistencyResult(d=d, local=local, global_table=table)
+    return InconsistencyResult(d=d)
 
 
 def feasible_matrix(d: np.ndarray, eta: float) -> np.ndarray:

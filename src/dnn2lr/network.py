@@ -1,9 +1,11 @@
 """Embedding network over categorical fields, with input-gradient readout.
 
-Each field owns an embedding table; a row embeds as the concatenation of its
+All fields share one stacked embedding table of sum(V_f) rows; field f's
+value v sits at row offsets[f] + v. A row embeds as the concatenation of its
 per-field vectors, which feeds a ReLU multilayer perceptron with either a
 sigmoid output (binary classification, cross-entropy loss) or an identity
-output (regression, squared-error loss). Everything is float64 numpy.
+output (regression, squared-error loss). Every parameter lives in one float64
+vector ``theta``: the table, then the weights, then the biases, each a view.
 
 The model exposes d(output)/d(embedding) per sample and field, which is what
 the inconsistency analysis consumes. The gradient can be taken on the
@@ -12,6 +14,7 @@ probability or on the logit; for identity-output networks the two coincide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,18 +82,27 @@ class EmbeddingDnn:
         self.embedding_dim = int(embedding_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.output = output
-        rng = np.random.default_rng(seed)
-        self.embeddings = [
-            rng.uniform(-0.05, 0.05, size=(v, self.embedding_dim)) for v in self.vocab_sizes
-        ]
-        for table in self.embeddings:
-            table[UNSEEN_ID, :] = 0.0  # unseen values must contribute nothing
+        self.offsets = field_offsets(self.vocab_sizes)
         dims = [self.input_dim, *self.hidden, 1]
-        self.weights = [
-            rng.normal(0.0, np.sqrt(2.0 / dims[i]), size=(dims[i], dims[i + 1]))
-            for i in range(len(dims) - 1)
-        ]
-        self.biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
+        self._shapes = [(sum(self.vocab_sizes), self.embedding_dim), *zip(dims, dims[1:]),
+                        *((d,) for d in dims[1:])]
+        sizes = [math.prod(shape) for shape in self._shapes]
+        self.theta = np.zeros(sum(sizes))
+        # L2 decays the table and the weights, never the biases.
+        self.n_decay = sum(sizes[: len(dims)])
+        self.table, self.weights, self.biases = self.unflatten(self.theta)
+        rng = np.random.default_rng(seed)
+        self.table[...] = rng.uniform(-0.05, 0.05, size=self.table.shape)
+        self.table[self.offsets + UNSEEN_ID] = 0.0  # unseen values must contribute nothing
+        for w in self.weights:
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+
+    def unflatten(self, flat: np.ndarray):
+        """Views of a theta-shaped vector: (table, [weights per layer], [biases per layer])."""
+        cuts = np.cumsum([math.prod(shape) for shape in self._shapes])[:-1]
+        views = [part.reshape(shape) for part, shape in zip(np.split(flat, cuts), self._shapes)]
+        layers = (len(views) - 1) // 2
+        return views[0], views[1 : 1 + layers], views[1 + layers :]
 
     @classmethod
     def additive(
@@ -135,20 +147,17 @@ class EmbeddingDnn:
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[1] != self.n_fields:
             raise EncodingError(f"expected an id matrix with {self.n_fields} columns")
-        for f, size in enumerate(self.vocab_sizes):
-            column = ids[:, f]
-            if column.size and (column.min() < 0 or column.max() >= size):
-                raise EncodingError(f"field {f}: id outside [0, {size})")
+        if ids.size:
+            bad = (ids.min(axis=0) < 0) | (ids.max(axis=0) >= self.vocab_sizes)
+            if bad.any():
+                f = int(np.argmax(bad))
+                raise EncodingError(f"field {f}: id outside [0, {self.vocab_sizes[f]})")
         return ids.astype(np.int64, copy=False)
 
     def embed(self, ids: np.ndarray) -> np.ndarray:
         """Concatenate per-field embedding rows: (B, n) ids -> (B, n*m)."""
         ids = self._check_ids(ids)
-        m = self.embedding_dim
-        x = np.empty((ids.shape[0], self.input_dim), dtype=np.float64)
-        for f in range(self.n_fields):
-            x[:, f * m : (f + 1) * m] = self.embeddings[f][ids[:, f]]
-        return x
+        return self.table[ids + self.offsets].reshape(ids.shape[0], self.input_dim)
 
     def forward_embedded(self, x: np.ndarray) -> np.ndarray:
         """Run the MLP head on pre-embedded inputs (used by gradient checks)."""
@@ -220,26 +229,24 @@ class EmbeddingDnn:
             )
         return out
 
-    # ------------------------------------------------------------------ #
-    # parameter plumbing
 
-    def _parameters(self) -> list[np.ndarray]:
-        return [*self.embeddings, *self.weights, *self.biases]
+def field_offsets(vocab_sizes: list[int]) -> np.ndarray:
+    """Row of each field's value 0 in a table that stacks the fields' rows."""
+    return np.cumsum([0, *vocab_sizes[:-1]])
 
-    def _decay_flags(self) -> list[bool]:
-        # L2 applies to embeddings and weights, never to biases.
-        return [True] * (len(self.embeddings) + len(self.weights)) + [False] * len(self.biases)
 
-    def snapshot(self) -> list[np.ndarray]:
-        return [p.copy() for p in self._parameters()]
+def sum_rows_into(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """out[r] = the sum of values[i] over rows[i] == r, added in the order of i.
 
-    def restore(self, saved: list[np.ndarray]) -> None:
-        for p, s in zip(self._parameters(), saved):
-            p[...] = s
+    One bincount per column: it adds in index order, as np.add.at does, so the
+    sums are the same to the bit.
+    """
+    for j in range(out.shape[1]):
+        out[:, j] = np.bincount(rows, weights=values[:, j], minlength=out.shape[0])
 
 
 def _batch_gradients(model: EmbeddingDnn, ids: np.ndarray, y: np.ndarray):
-    """Mean data-loss gradients for one minibatch, plus the mean loss value."""
+    """Mean data-loss gradient for one minibatch as one theta-shaped vector, plus the mean loss."""
     y_hat, x, pre, post = model._forward_cache(ids)
     k = ids.shape[0]
     if model.output == OUTPUT_SIGMOID:
@@ -249,21 +256,52 @@ def _batch_gradients(model: EmbeddingDnn, ids: np.ndarray, y: np.ndarray):
         diff = y_hat - y
         loss = float(np.mean(diff * diff))
         delta = (2.0 * diff / k)[:, None]
-    grads_w = [np.empty(0)] * len(model.weights)
-    grads_b = [np.empty(0)] * len(model.biases)
+    grad = np.empty_like(model.theta)
+    grad_table, grads_w, grads_b = model.unflatten(grad)
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = post[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads_w[i][...] = post[i].T @ delta
+        grads_b[i][...] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
-    dx = delta @ model.weights[0].T
-    m = model.embedding_dim
-    grads_e = []
-    for f in range(model.n_fields):
-        g = np.zeros_like(model.embeddings[f])
-        np.add.at(g, ids[:, f], dx[:, f * m : (f + 1) * m])
-        grads_e.append(g)
-    return loss, [*grads_e, *grads_w, *grads_b]
+    dx = (delta @ model.weights[0].T).reshape(-1, model.embedding_dim)
+    sum_rows_into(grad_table, (np.asarray(ids) + model.offsets).ravel(), dx)
+    return loss, grad
+
+
+def fit_with_early_stopping(params, n_rows: int, config, step, validate) -> list[dict]:
+    """The epoch loop every trainer shares; ``params`` are updated in place.
+
+    Each epoch draws one permutation of the ``n_rows`` training rows from
+    ``config.seed``'s stream and calls ``step(batch)`` per minibatch of
+    ``config.batch_size`` rows; ``step`` updates ``params`` and returns the
+    batch's summed loss. ``validate()`` returns (metric, score), higher score
+    better. The arrays of the best-scoring epoch are restored into ``params``
+    at the end; patience counts consecutive epochs without a better score.
+    Returns one history row per epoch: epoch, train_loss, valid_metric.
+    """
+    rng = np.random.default_rng(config.seed)
+    history: list[dict] = []
+    best_score, best, stall = -np.inf, None, 0
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n_rows)
+        loss_sum = 0.0
+        for start in range(0, n_rows, config.batch_size):
+            loss_sum += step(order[start : start + config.batch_size])
+        epoch_loss = loss_sum / n_rows
+        if not np.isfinite(epoch_loss):
+            raise TrainingError(f"non-finite training loss at epoch {epoch}")
+        metric, score = validate()
+        history.append({"epoch": epoch, "train_loss": epoch_loss, "valid_metric": metric})
+        if score > best_score:
+            best_score, best, stall = score, [p.copy() for p in params], 0
+        else:
+            stall += 1
+            if stall >= config.patience:
+                break
+    if best is not None:
+        for p, saved in zip(params, best):
+            p[...] = saved
+    return history
 
 
 def train(
@@ -274,13 +312,12 @@ def train(
     valid_labels: np.ndarray,
     config: TrainConfig | None = None,
 ) -> list[dict]:
-    """Adam with minibatches, early stopping on the validation metric.
+    """Adam on ``model.theta`` with minibatches, early stopping on the validation metric.
 
     Classification tracks validation AUC (higher is better); regression tracks
     validation MSE (lower is better). The parameters giving the best metric
     are kept: after training returns, the model holds that snapshot, not the
-    last epoch. Returns one history row per epoch with train_loss and
-    valid_metric.
+    last epoch. Returns fit_with_early_stopping's history.
     """
     config = config or TrainConfig()
     config.validate()
@@ -292,63 +329,40 @@ def train(
     if model.output == OUTPUT_SIGMOID and len(set(y_valid.tolist())) < 2:
         raise TrainingError("validation split has a single class; AUC is undefined")
 
-    params = model._parameters()
-    decay = model._decay_flags()
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    theta, decay = model.theta, model.theta[: model.n_decay]
+    m_state, v_state = np.zeros_like(theta), np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
-    rng = np.random.default_rng(config.seed)
-    history: list[dict] = []
-    best_score = -np.inf
-    best_params: list[np.ndarray] | None = None
-    stall = 0
+    steps = 0
 
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(ids.shape[0])
-        loss_sum = 0.0
-        for start in range(0, ids.shape[0], config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss, grads = _batch_gradients(model, ids[batch], y[batch])
-            loss_sum += loss * batch.size
-            step += 1
-            correct1 = 1.0 - beta1**step
-            correct2 = 1.0 - beta2**step
-            for p, g, mm, vv, dec in zip(params, grads, m_state, v_state, decay):
-                if dec and config.l2 > 0.0:
-                    g = g + config.l2 * p
-                mm *= beta1
-                mm += (1.0 - beta1) * g
-                vv *= beta2
-                vv += (1.0 - beta2) * g * g
-                p -= config.learning_rate * (mm / correct1) / (np.sqrt(vv / correct2) + eps)
-        epoch_loss = loss_sum / ids.shape[0]
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"non-finite training loss at epoch {epoch}")
+    def step(batch: np.ndarray) -> float:
+        nonlocal steps, m_state, v_state, theta
+        loss, grad = _batch_gradients(model, ids[batch], y[batch])
+        steps += 1
+        if config.l2 > 0.0:
+            grad[: model.n_decay] += config.l2 * decay
+        m_state *= beta1
+        m_state += (1.0 - beta1) * grad
+        v_state *= beta2
+        v_state += (1.0 - beta2) * grad * grad
+        correct1, correct2 = 1.0 - beta1**steps, 1.0 - beta2**steps
+        theta -= config.learning_rate * (m_state / correct1) / (np.sqrt(v_state / correct2) + eps)
+        return loss * batch.size
+
+    def validate() -> tuple[float, float]:
         valid_out = model.forward(valid_ids)
         if model.output == OUTPUT_SIGMOID:
             metric = auc(y_valid, valid_out)
-            score = metric
-        else:
-            metric = float(np.mean((valid_out - y_valid) ** 2))
-            score = -metric
-        history.append({"epoch": epoch, "train_loss": epoch_loss, "valid_metric": metric})
-        if score > best_score:
-            best_score = score
-            best_params = model.snapshot()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= config.patience:
-                break
-    if best_params is not None:
-        model.restore(best_params)
-    return history
+            return metric, metric
+        metric = float(np.mean((valid_out - y_valid) ** 2))
+        return metric, -metric
+
+    return fit_with_early_stopping([theta], ids.shape[0], config, step, validate)
 
 
 # ---------------------------------------------------------------------- #
-# model file: one array container. The embedding tables are stacked into one
-# (sum V_f, m) table; dims = [n*m, hidden..., 1] cuts the flat layers apart.
+# model file: one array container of theta's three parts. ``embeddings`` is
+# the stacked (sum V_f, m) table; dims = [n*m, hidden..., 1] gives the shapes
+# of the flat weights and biases.
 
 _OUTPUT_FLAGS = {OUTPUT_SIGMOID: 0, OUTPUT_IDENTITY: 1}
 _MODEL_ARRAYS = dict(
@@ -361,10 +375,10 @@ def save_model(model: EmbeddingDnn, path) -> None:
     save_arrays(
         path,
         vocab_sizes=np.array(model.vocab_sizes, dtype=np.int64),
-        embeddings=np.concatenate(model.embeddings),
+        embeddings=model.table,
         dims=np.array([model.input_dim, *model.hidden, 1], dtype=np.int64),
-        weights=np.concatenate([w.ravel() for w in model.weights]),
-        biases=np.concatenate(model.biases),
+        weights=model.theta[model.table.size : model.n_decay],
+        biases=model.theta[model.n_decay :],
         output=np.int8(_OUTPUT_FLAGS[model.output]),
     )
 
@@ -375,18 +389,13 @@ def load_model(path) -> EmbeddingDnn:
     sizes, dims = arrays["vocab_sizes"].tolist(), arrays["dims"].tolist()
     table, flat_w, flat_b = arrays["embeddings"], arrays["weights"], arrays["biases"]
     output = {v: k for k, v in _OUTPUT_FLAGS.items()}.get(int(arrays["output"]))
-    shapes = list(zip(dims, dims[1:]))
-    counts = [a * b for a, b in shapes]
     if not (output and len(dims) >= 2 and min(dims) >= 1 and dims[-1] == 1
             and table.shape[0] == sum(sizes) and dims[0] == len(sizes) * table.shape[1]
-            and min(sizes) >= 2 and flat_w.size == sum(counts) and flat_b.size == sum(dims[1:])):
+            and min(sizes) >= 2 and flat_w.size == sum(a * b for a, b in zip(dims, dims[1:]))
+            and flat_b.size == sum(dims[1:])):
         raise IngestionError(f"{path}: model arrays do not describe one network")
     if not all(np.isfinite(a).all() for a in (table, flat_w, flat_b)):
         raise IngestionError(f"{path}: model holds a non-finite parameter")
     model = EmbeddingDnn(sizes, table.shape[1], tuple(dims[1:-1]), output=output, seed=0)
-    model.restore([
-        *np.split(table, np.cumsum(sizes)[:-1]),
-        *(w.reshape(s) for w, s in zip(np.split(flat_w, np.cumsum(counts)[:-1]), shapes)),
-        *np.split(flat_b, np.cumsum(dims[1:-1])),
-    ])
+    model.theta[...] = np.concatenate([table.ravel(), flat_w, flat_b])
     return model

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import model_io
 from .candidates import enumerate_candidates, load_candidates, save_candidates, top_epsilon
+from .candidates import read_cross_lines
 from .config import PipelineConfig
 from .crosslr import (
     LrConfig,
@@ -370,14 +371,9 @@ def stage_search(config: PipelineConfig) -> None:
         handle.write(f"final_auc = {result.auc!r}\n")
 
 
-def load_selected(path) -> list[tuple[int, ...]]:
-    out = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                out.append(tuple(int(v) for v in line.split("\t")[0].split(",")))
-    return out
+def load_selected(path, n_fields: int) -> list[tuple[int, ...]]:
+    """The crosses of a selected file in selection order; its AUC column must be a number."""
+    return [fields for fields, _ in read_cross_lines(path, n_fields, float)]
 
 
 def stage_export_model(config: PipelineConfig) -> None:
@@ -391,7 +387,7 @@ def stage_export_model(config: PipelineConfig) -> None:
         load_edges(ws.edges_tsv, name_to_index) if ws.edges_tsv.exists() else {}
     )
     model = load_lr_full(ws.lr_full, vocab.sizes())
-    selected = load_selected(ws.selected_tsv)
+    selected = load_selected(ws.selected_tsv, len(config.fields))
     model_io.export_model(
         ws.model_final, model, config.fields, vocab, edges_by_name, selected
     )
@@ -416,9 +412,9 @@ def stage_evaluate(config: PipelineConfig) -> dict:
     labels = np.asarray(table.labels)
     plain_scores = exported.score_rows(table.rows, include_cross=False)
     final_scores = exported.score_rows(table.rows, include_cross=True)
-    names = [f.name for f in config.fields]
+    names = [f.name for f in exported.fields]
     selected = ";".join(
-        "*".join(names[i] for i in fields) for fields in load_selected(ws.selected_tsv)
+        "*".join(names[i] for i in fields) for fields in exported.model.cross_fields
     )
     report = {
         "plain_lr_test_auc": auc(labels, plain_scores),

@@ -48,23 +48,23 @@ class TestGlobalTable:
         ids = np.stack([rng.integers(0, v, size=60) for v in sizes], axis=1).astype(np.int32)
         got = global_weight_table(local, ids, sizes)
         want = global_table_oracle(local, ids, sizes)
-        for g, w in zip(got, want):
-            assert np.allclose(g, w, atol=1e-12)
+        assert np.array_equal(got, np.concatenate(want))
 
     def test_unused_values_stay_zero(self):
         local = np.ones((4, 1, 2))
         ids = np.full((4, 1), 3, dtype=np.int32)
         table = global_weight_table(local, ids, [6])
-        assert np.all(table[0][[0, 1, 2, 4, 5]] == 0.0)
-        assert np.allclose(table[0][3], 1.0)
+        assert np.all(table[[0, 1, 2, 4, 5]] == 0.0)
+        assert np.allclose(table[3], 1.0)
 
     def test_expand_is_lookup(self):
         rng = np.random.default_rng(1)
-        table = [rng.normal(size=(5, 3)), rng.normal(size=(4, 3))]
+        table = rng.normal(size=(5 + 4, 3))  # field 1's rows start at 5
         ids = np.array([[0, 3], [4, 1]], dtype=np.int32)
-        out = expand_global(table, ids)
-        assert np.array_equal(out[0, 0], table[0][0])
-        assert np.array_equal(out[1, 1], table[1][1])
+        out = expand_global(table, ids, [5, 4])
+        assert np.array_equal(out[0, 0], table[0])
+        assert np.array_equal(out[0, 1], table[5 + 3])
+        assert np.array_equal(out[1, 1], table[5 + 1])
 
 
 class TestDMatrix:

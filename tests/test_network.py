@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnn2lr.data import UNSEEN_ID
 from dnn2lr.errors import ConfigError, EncodingError, IngestionError, TrainingError
@@ -10,6 +12,7 @@ from dnn2lr.network import (
     OUTPUT_SIGMOID,
     EmbeddingDnn,
     TrainConfig,
+    _batch_gradients,
     load_model,
     save_model,
     stable_sigmoid,
@@ -57,10 +60,10 @@ class TestSigmoid:
 class TestConstruction:
     def test_unseen_rows_zeroed(self):
         model = EmbeddingDnn([6, 9], embedding_dim=3, hidden=(8,), seed=0)
-        for table in model.embeddings:
-            assert np.all(table[UNSEEN_ID] == 0.0)
+        for start in model.offsets:
+            assert np.all(model.table[start + UNSEEN_ID] == 0.0)
             # every other row carries signal
-            assert np.any(table[0] != 0.0) or np.any(table[2] != 0.0)
+            assert np.any(model.table[start] != 0.0) or np.any(model.table[start + 2] != 0.0)
 
     def test_shapes(self):
         model = EmbeddingDnn([5, 5, 5], embedding_dim=4, hidden=(16, 8))
@@ -166,6 +169,55 @@ class TestAdditive:
         ga = model.embedding_gradients(a, space="logit")
         gb = model.embedding_gradients(b, space="logit")
         assert np.allclose(ga[:, 0, :], gb[:, 0, :], atol=1e-12)
+
+
+def batch_gradients_oracle(model, ids, y):
+    """The per-field backward: one np.add.at per field's own table, one array per parameter."""
+    y_hat, _, pre, post = model._forward_cache(ids)
+    k = ids.shape[0]
+    if model.output == OUTPUT_SIGMOID:
+        loss = float(-np.mean(y * np.log(y_hat) + (1.0 - y) * np.log(1.0 - y_hat)))
+        delta = ((y_hat - y) / k)[:, None]
+    else:
+        loss = float(np.mean((y_hat - y) * (y_hat - y)))
+        delta = (2.0 * (y_hat - y) / k)[:, None]
+    layers = len(model.weights)
+    grads_w, grads_b = [None] * layers, [None] * layers
+    for i in range(layers - 1, -1, -1):
+        grads_w[i] = post[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
+    dx = delta @ model.weights[0].T
+    m = model.embedding_dim
+    tables = []
+    for f, size in enumerate(model.vocab_sizes):
+        table = np.zeros((size, m))
+        np.add.at(table, ids[:, f], dx[:, f * m : (f + 1) * m])
+        tables.append(table)
+    return loss, [*tables, *grads_w, *grads_b]
+
+
+class TestBatchGradients:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 12), min_size=1, max_size=8),
+        m=st.integers(1, 6),
+        hidden=st.lists(st.integers(1, 16), max_size=2),
+        batch=st.integers(1, 64),
+        output=st.sampled_from([OUTPUT_SIGMOID, OUTPUT_IDENTITY]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_flat_gradient_equals_per_field_scatter(self, sizes, m, hidden, batch, output, seed):
+        rng = np.random.default_rng(seed)
+        model = EmbeddingDnn(sizes, embedding_dim=m, hidden=tuple(hidden), output=output, seed=seed)
+        ids = np.stack([rng.integers(0, v, size=batch) for v in sizes], axis=1).astype(np.int32)
+        y = rng.integers(0, 2, size=batch).astype(np.float64)
+        loss, grad = _batch_gradients(model, ids, y)
+        want_loss, want = batch_gradients_oracle(model, ids, y)
+        assert loss == want_loss
+        assert grad.shape == model.theta.shape
+        assert np.array_equal(grad, np.concatenate([g.ravel() for g in want]))
 
 
 class TestTraining:

@@ -120,7 +120,7 @@ class TestRunAll:
 
     def test_planted_pair_selected(self, finished_run):
         _, _, ws, _ = finished_run
-        assert PLANTED in load_selected(ws.selected_tsv)
+        assert PLANTED in load_selected(ws.selected_tsv, N_FIELDS)
         cand_lines = ws.candidates_tsv.read_text().strip().splitlines()
         assert any(line.split("\t")[0] == "1,4" for line in cand_lines)
 
@@ -215,11 +215,16 @@ class TestArtifactReaders:
             ("train-lr", "vocab.tsv", replace_text("\t2\n", "\tx\n")),
             ("export-model", "edges.tsv", lambda path: path.write_text("f00\t10\tnan,1.0\n")),
             ("export-model", "edges.tsv", lambda path: path.write_text("f00\tten\t1.0\n")),
+            ("export-model", "selected.tsv", lambda path: path.write_text("0,x\t0.5\n")),
+            ("export-model", "selected.tsv", lambda path: path.write_text("0,0\t0.5\n")),
+            ("export-model", "selected.tsv", lambda path: path.write_text("0,99\t0.5\n")),
+            ("export-model", "selected.tsv", lambda path: path.write_text("0\t0.5\n")),
         ],
         ids=[
             "id-999", "label-2", "dnn-cut-to-500-bytes", "dnn-nan-weight", "d-nan", "d-negative",
             "member-id-negative", "member-id-out-of-range", "lr-other-vocabulary",
             "vocab-id-not-int", "edges-nan-cut", "edges-granularity-not-int",
+            "selected-not-int", "selected-same-field", "selected-field-99", "selected-one-field",
         ],
     )
     def test_rejected_with_one_line(self, finished_run, tmp_path, capsys, stage, name, corrupt):
@@ -227,6 +232,18 @@ class TestArtifactReaders:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ingest: ")
         assert name in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda path: path.unlink(), lambda path: path.write_text("0,2\t0.5\n")],
+    ids=["selected-deleted", "selected-rewritten"],
+)
+def test_evaluate_names_the_crosses_of_the_scorecard(finished_run, tmp_path, capsys, corrupt):
+    _, _, ws, _ = finished_run
+    code, err = run_on_copy(finished_run, tmp_path, capsys, "evaluate", "selected.tsv", corrupt)
+    assert code == 0, err
+    assert (tmp_path / "work" / "report.txt").read_bytes() == ws.report.read_bytes()
 
 
 def test_lr_full_holds_a_cross_wider_than_int64(tmp_path):
