@@ -11,7 +11,8 @@ search then keeps only the candidates that actually move validation AUC.
 
 import numpy as np
 
-from dnn2lr.crosslr import LrConfig, SparseLrModel, train_phase1, train_phase2
+from dnn2lr.config import LrSettings
+from dnn2lr.crosslr import SparseLrModel, train_phase1, train_phase2
 from dnn2lr.metrics import auc
 from dnn2lr.search import beam_select, greedy_select, precompute_logit_columns
 
@@ -25,12 +26,12 @@ cut = 2250
 tr_ids, tr_y, va_ids, va_y = ids[:cut], y[:cut], ids[cut:], y[cut:]
 
 model = SparseLrModel([4, 4, 4, 4])
-train_phase1(model, tr_ids, tr_y, va_ids, va_y, LrConfig(seed=0, epochs=15))
+train_phase1(model, tr_ids, tr_y, va_ids, va_y, LrSettings(epochs=15), seed=0)
 print(f"phase 1 validation AUC: {auc(va_y, model.predict(va_ids)):.3f}  (chance)")
 
 # Phase 2 gets a mixed bag of candidates: the real pair plus decoy pairs.
 candidates = [(0, 1), (0, 2), (1, 3), (2, 3)]
-train_phase2(model, tr_ids, tr_y, va_ids, va_y, candidates, LrConfig(seed=0, epochs=25))
+train_phase2(model, tr_ids, tr_y, va_ids, va_y, candidates, LrSettings(epochs=25), seed=0)
 print(f"phase 2, all candidates active:  {auc(va_y, model.predict(va_ids)):.3f}")
 
 # The search ranks candidates by what they contribute on validation.

@@ -15,7 +15,7 @@ from .candidates import (
     top_epsilon,
 )
 from .config import DnnSettings, LrSettings, PipelineConfig, load_config
-from .crosslr import LrConfig, SparseLrModel, train_phase1, train_phase2
+from .crosslr import SparseLrModel, train_phase1, train_phase2
 from .data import Dataset, FieldSchema, RawTable, Vocabulary, load_csv, split_table
 from .discretize import BinEdges, apply_edges, fit_equal_frequency, select_granularity
 from .errors import (
@@ -38,7 +38,7 @@ from .inconsistency import (
 )
 from .metrics import auc, ks
 from .model_io import ExportedModel, export_model, load_exported
-from .network import EmbeddingDnn, TrainConfig, load_model, save_model, train
+from .network import EmbeddingDnn, load_model, save_model, train
 from .pipeline import run_all, run_stage
 from .search import SearchResult, beam_select, greedy_select, precompute_logit_columns
 from .synth import (
@@ -66,14 +66,12 @@ __all__ = [
     "InconsistencyResult",
     "IngestionError",
     "LabelError",
-    "LrConfig",
     "LrSettings",
     "PipelineConfig",
     "RawTable",
     "SearchResult",
     "SparseLrModel",
     "StageError",
-    "TrainConfig",
     "TrainingError",
     "UndefinedMetricError",
     "Vocabulary",

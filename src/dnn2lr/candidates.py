@@ -104,9 +104,14 @@ def top_epsilon(counts: Counter, epsilon: int) -> list[CrossFieldCandidate]:
 
 def save_candidates(path, candidates: list[CrossFieldCandidate]) -> None:
     """One TSV line per candidate: comma-joined field indices, then the count."""
+    write_cross_lines(path, [(cand.fields, cand.count) for cand in candidates])
+
+
+def write_cross_lines(path, rows) -> None:
+    """Write (fields, number) pairs as read_cross_lines reads them: ``fields<TAB>repr(number)``."""
     with open(path, "w", encoding="utf-8") as handle:
-        for cand in candidates:
-            handle.write(",".join(str(f) for f in cand.fields) + f"\t{cand.count}\n")
+        for fields, value in rows:
+            handle.write(",".join(str(f) for f in fields) + f"\t{value!r}\n")
 
 
 def read_cross_lines(path, n_fields: int, number=int) -> list[tuple[tuple[int, ...], object]]:

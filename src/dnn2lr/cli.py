@@ -125,9 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             report = pipeline.run_stage(config, args.command)
         if isinstance(report, dict):
-            for key, value in report.items():
-                rendered = value if isinstance(value, str) else repr(value)
-                print(f"{key} = {rendered}")
+            print(pipeline.render_report(report), end="")
         return 0
     except Dnn2LrError as err:
         message = " ".join(str(err).split())

@@ -1,10 +1,14 @@
 """Pipeline configuration: a small key = value file format plus validation.
 
 The config declares the schema (field kinds in column order), the label
-column, paths, the seed, and the knobs of every stage. Validation happens
-up front so a bad value fails before any work starts.
+column, paths, the seed, and the knobs of every stage. Each trainer has one
+settings type, DnnSettings for the embedding network and LrSettings for both
+logistic phases; the ``dnn.*`` and ``lr.*`` keys are their fields. The keys a
+file may set are read off the dataclass fields, one reader per field type.
+PipelineConfig.validate() checks every value, the trainers' settings
+included, so a bad value fails before any stage writes a file.
 
-Example::
+Example (``#`` at the start of a line or after whitespace starts a comment)::
 
     label = y
     field.age = numerical
@@ -12,14 +16,17 @@ Example::
     data = loans.csv
     workdir = work
     seed = 7
-    eta = 0.05
+    eta = 0.05          # feasible quantile
     epsilon = 3n
     dnn.hidden = 400,100
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import re
+import typing
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -27,10 +34,25 @@ from .data import CATEGORICAL, NUMERICAL, FieldSchema, check_schema
 from .errors import ConfigError
 
 _EPSILON_RULE = re.compile(r"^(\d*)n$")
+_COMMENT = re.compile(r"(?:^|\s)#")
+ALLOWED_BATCH_SIZES = (256, 512, 1024, 4096)
+
+
+def _check_optimizer(prefix: str, settings) -> None:
+    """The rules both trainers share: a finite positive rate and L2, epochs and patience."""
+    if not (math.isfinite(settings.learning_rate) and settings.learning_rate > 0):
+        raise ConfigError(f"{prefix}.learning_rate must be positive and finite, "
+                          f"got {settings.learning_rate}")
+    if not (math.isfinite(settings.l2) and settings.l2 >= 0):
+        raise ConfigError(f"{prefix}.l2 must be non-negative and finite, got {settings.l2}")
+    if settings.epochs < 1 or settings.patience < 1:
+        raise ConfigError(f"{prefix}.epochs and {prefix}.patience must be at least 1")
 
 
 @dataclass
 class DnnSettings:
+    """Shape and optimizer of the embedding network (the ``dnn.*`` keys)."""
+
     embedding_dim: int = 10
     hidden: tuple[int, ...] = (400, 100)
     learning_rate: float = 0.001
@@ -39,15 +61,32 @@ class DnnSettings:
     epochs: int = 30
     patience: int = 5
 
+    def validate(self) -> None:
+        if self.embedding_dim < 1 or any(h < 1 for h in self.hidden):
+            raise ConfigError(f"dnn.embedding_dim and every dnn.hidden width must be at "
+                              f"least 1, got {self.embedding_dim} and {self.hidden}")
+        if self.batch_size not in ALLOWED_BATCH_SIZES:
+            raise ConfigError(
+                f"dnn.batch_size must be one of {ALLOWED_BATCH_SIZES}, got {self.batch_size}"
+            )
+        _check_optimizer("dnn", self)
+
 
 @dataclass
 class LrSettings:
+    """Optimizer of both logistic phases (the ``lr.*`` keys)."""
+
     learning_rate: float = 0.1
     l2: float = 0.0001
     batch_size: int = 256
     epochs: int = 30
     patience: int = 5
     grid_tune: bool = False
+
+    def validate(self) -> None:
+        if self.batch_size < 1:
+            raise ConfigError(f"lr.batch_size must be at least 1, got {self.batch_size}")
+        _check_optimizer("lr", self)
 
 
 @dataclass
@@ -91,9 +130,12 @@ class PipelineConfig:
         if not 0.0 < self.eta < 1.0:
             raise ConfigError(f"eta must lie strictly between 0 and 1, got {self.eta}")
         self.resolve_epsilon(len(self.fields))
-        f1, f2, f3 = self.split
-        if min(f1, f2, f3) <= 0 or abs(f1 + f2 + f3 - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must be positive and sum to 1, got {self.split}")
+        if len(self.split) != 3 or not all(0 < f < 1 for f in self.split) or (
+            abs(sum(self.split) - 1.0) > 1e-9
+        ):
+            raise ConfigError(
+                f"split must be three positive fractions that sum to 1, got {self.split}"
+            )
         if self.beam_width < 1:
             raise ConfigError("beam_width must be at least 1")
         if self.threads < 1:
@@ -108,62 +150,65 @@ class PipelineConfig:
             raise ConfigError("feasible_cap must be at least 2")
         if any(g < 2 for g in self.granularities) or not self.granularities:
             raise ConfigError("granularities must all be at least 2")
+        self.dnn.validate()
+        self.lr.validate()
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    lowered = text.strip().lower()
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
     if lowered in ("true", "1", "yes"):
         return True
     if lowered in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected true/false, got {text!r}")
+    raise ValueError(f"expected true/false, got {text!r}")
 
 
-def _parse_int_tuple(text: str, key: str) -> tuple[int, ...]:
+def _parse_int_tuple(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+
+
+# One reader per field type; a field of any other type fails at import.
+_READERS = {
+    str: str,
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    Path: Path,
+    Path | None: Path,
+    int | None: lambda text: int(text) if text else None,
+    tuple[int, ...]: _parse_int_tuple,
+    tuple[float, float, float]: lambda text: tuple(float(part) for part in text.split(",")),
+}
+
+
+def _config_keys() -> dict[str, tuple[str, str, typing.Callable]]:
+    """key -> (settings group or "", field name, reader), read off the dataclass fields.
+
+    The schema comes from ``field.<name>`` lines, and ``dnn`` and ``lr`` are
+    groups, so those three PipelineConfig fields are no keys of their own.
+    """
+    keys = {}
+    for group, cls in (("", PipelineConfig), ("dnn", DnnSettings), ("lr", LrSettings)):
+        hints = typing.get_type_hints(cls)
+        for item in dataclasses.fields(cls):
+            if cls is PipelineConfig and item.name in ("fields", "dnn", "lr"):
+                continue
+            key = f"{group}.{item.name}" if group else item.name
+            keys[key] = (group, item.name, _READERS[hints[item.name]])
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> PipelineConfig:
     config = PipelineConfig()
-    setters = {
-        "label": lambda v: setattr(config, "label", v),
-        "data": lambda v: setattr(config, "data", Path(v)),
-        "workdir": lambda v: setattr(config, "workdir", Path(v)),
-        "seed": lambda v: setattr(config, "seed", int(v)),
-        "eta": lambda v: setattr(config, "eta", float(v)),
-        "epsilon": lambda v: setattr(config, "epsilon", v),
-        "beam_width": lambda v: setattr(config, "beam_width", int(v)),
-        "max_selected": lambda v: setattr(config, "max_selected", int(v) if v else None),
-        "threads": lambda v: setattr(config, "threads", int(v)),
-        "gradient_space": lambda v: setattr(config, "gradient_space", v),
-        "inconsistency_mode": lambda v: setattr(config, "inconsistency_mode", v),
-        "feasible_cap": lambda v: setattr(config, "feasible_cap", int(v)),
-        "granularities": lambda v: setattr(
-            config, "granularities", _parse_int_tuple(v, "granularities")
-        ),
-        "split": lambda v: setattr(
-            config, "split", tuple(float(part) for part in v.split(","))
-        ),
-        "dnn.embedding_dim": lambda v: setattr(config.dnn, "embedding_dim", int(v)),
-        "dnn.hidden": lambda v: setattr(config.dnn, "hidden", _parse_int_tuple(v, "dnn.hidden")),
-        "dnn.learning_rate": lambda v: setattr(config.dnn, "learning_rate", float(v)),
-        "dnn.l2": lambda v: setattr(config.dnn, "l2", float(v)),
-        "dnn.batch_size": lambda v: setattr(config.dnn, "batch_size", int(v)),
-        "dnn.epochs": lambda v: setattr(config.dnn, "epochs", int(v)),
-        "dnn.patience": lambda v: setattr(config.dnn, "patience", int(v)),
-        "lr.learning_rate": lambda v: setattr(config.lr, "learning_rate", float(v)),
-        "lr.l2": lambda v: setattr(config.lr, "l2", float(v)),
-        "lr.batch_size": lambda v: setattr(config.lr, "batch_size", int(v)),
-        "lr.epochs": lambda v: setattr(config.lr, "epochs", int(v)),
-        "lr.patience": lambda v: setattr(config.lr, "patience", int(v)),
-        "lr.grid_tune": lambda v: setattr(config.lr, "grid_tune", _parse_bool(v, "lr.grid_tune")),
-    }
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{origin}: line {lineno}: expected 'key = value'")
@@ -181,13 +226,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> PipelineConfig:
                 )
             config.fields.append(FieldSchema(name=name, index=len(config.fields), kind=value))
             continue
-        setter = setters.get(key)
-        if setter is None:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{origin}: line {lineno}: unknown key {key!r}")
+        group, name, reader = CONFIG_KEYS[key]
         try:
-            setter(value)
-        except ConfigError:
-            raise
+            setattr(getattr(config, group) if group else config, name, reader(value))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{origin}: line {lineno}: bad value for {key}: {err}") from None
     return config

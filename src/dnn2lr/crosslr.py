@@ -17,11 +17,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .candidates import MAX_ORDER, MIN_ORDER
+from .config import LrSettings
 from .errors import ConfigError, EncodingError, TrainingError
 from .metrics import auc
 from .network import fit_with_early_stopping, stable_sigmoid
@@ -29,24 +29,6 @@ from .network import fit_with_early_stopping, stable_sigmoid
 _INT64_MAX = int(np.iinfo(np.int64).max)
 LR_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0)
 L2_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0)
-
-
-@dataclass
-class LrConfig:
-    """Optimizer settings shared by both logistic phases."""
-
-    learning_rate: float = 0.1
-    l2: float = 0.0001
-    batch_size: int = 256
-    epochs: int = 30
-    patience: int = 5
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.learning_rate <= 0 or self.l2 < 0 or self.batch_size < 1:
-            raise ConfigError("bad logistic-regression optimizer settings")
-        if self.epochs < 1 or self.patience < 1:
-            raise ConfigError("epochs and patience must be at least 1")
 
 
 def _normalize_fields(candidate) -> tuple[int, ...]:
@@ -200,16 +182,19 @@ class SparseLrModel:
         self.cross_weights.append(weights[order])
 
 
-def _fit_tables(weights, codes, valid_codes, base, valid_base, labels, valid_labels, config, bias):
+def _fit_tables(
+    weights, codes, valid_codes, base, valid_base, labels, valid_labels, settings, seed, bias
+):
     """Minibatch SGD on lookup tables over a fixed base logit; both phases use it.
 
     Row k's logit is ``base[k] + sum_t weights[t][codes[t][k]]``, plus
     ``bias[0]`` unless ``bias`` is None (a one-element array is fitted too); a
-    valid code of -1 contributes 0. The epoch loop is the network's
+    valid code of -1 contributes 0. ``settings`` is an LrSettings, validated
+    here; ``seed`` draws the minibatch order. The epoch loop is the network's
     fit_with_early_stopping, scored by validation AUC: the best epoch's tables
     and bias are restored in place. Returns the history.
     """
-    config.validate()
+    settings.validate()
     y = np.asarray(labels, dtype=np.float64).ravel()
     y_valid = np.asarray(valid_labels, dtype=np.float64).ravel()
     if len(set(y_valid.tolist())) < 2:
@@ -224,9 +209,9 @@ def _fit_tables(weights, codes, valid_codes, base, valid_base, labels, valid_lab
         residual = (p - yb) / batch.size
         for w, c in zip(weights, codes):
             grad = np.bincount(c[batch], weights=residual, minlength=w.size)
-            w -= config.learning_rate * (grad + config.l2 * w)
+            w -= settings.learning_rate * (grad + settings.l2 * w)
         if bias is not None:
-            bias[0] -= config.learning_rate * float(residual.sum())
+            bias[0] -= settings.learning_rate * float(residual.sum())
         return -float(np.sum(yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)))
 
     def validate() -> tuple[float, float]:
@@ -238,7 +223,7 @@ def _fit_tables(weights, codes, valid_codes, base, valid_base, labels, valid_lab
         return valid_auc, valid_auc
 
     params = [*weights] if bias is None else [*weights, bias]
-    return fit_with_early_stopping(params, y.size, config, step, validate)
+    return fit_with_early_stopping(params, y.size, settings, seed, step, validate)
 
 
 def train_phase1(
@@ -247,7 +232,8 @@ def train_phase1(
     train_labels: np.ndarray,
     valid_ids: np.ndarray,
     valid_labels: np.ndarray,
-    config: LrConfig | None = None,
+    settings: LrSettings | None = None,
+    seed: int = 0,
 ) -> list[dict]:
     """Fit original-field weights and the bias: one table per field, zero base."""
     ids = model._check_ids(train_ids)
@@ -255,7 +241,7 @@ def train_phase1(
     bias = np.array([model.bias])
     history = _fit_tables(
         model.field_weights, list(ids.T), list(valid.T), np.zeros(len(ids)), np.zeros(len(valid)),
-        train_labels, valid_labels, config or LrConfig(), bias,
+        train_labels, valid_labels, settings or LrSettings(), seed, bias,
     )
     model.bias = float(bias[0])
     return history
@@ -268,7 +254,8 @@ def train_phase2(
     valid_ids: np.ndarray,
     valid_labels: np.ndarray,
     candidates,
-    config: LrConfig | None = None,
+    settings: LrSettings | None = None,
+    seed: int = 0,
 ) -> list[dict]:
     """Fit one weight table per candidate cross field, everything else frozen.
 
@@ -292,7 +279,7 @@ def train_phase2(
     weights = [np.zeros(uniq.size) for uniq in uniqs]
     history = _fit_tables(
         weights, codes, valid_codes, model.logits(ids, active=[]), model.logits(valid, active=[]),
-        train_labels, valid_labels, config or LrConfig(), None,
+        train_labels, valid_labels, settings or LrSettings(), seed, None,
     )
     for fields, uniq, w in zip(fields_list, uniqs, weights):
         model.attach_cross(fields, split_keys(uniq, [model.vocab_sizes[f] for f in fields]), w)
@@ -305,7 +292,8 @@ def tune_phase1(
     valid_ids: np.ndarray,
     valid_labels: np.ndarray,
     vocab_sizes: list[int],
-    config: LrConfig | None = None,
+    settings: LrSettings | None = None,
+    seed: int = 0,
     lr_grid: tuple[float, ...] = LR_GRID,
     l2_grid: tuple[float, ...] = L2_GRID,
 ) -> tuple[float, float, float]:
@@ -314,12 +302,14 @@ def tune_phase1(
     Returns (learning_rate, l2, auc). Ties keep the earliest grid point, so
     the result is deterministic for a fixed grid order.
     """
-    base = config or LrConfig()
+    base = settings or LrSettings()
     best: tuple[float, float, float] | None = None
     for lr, l2 in itertools.product(lr_grid, l2_grid):
         trial = dataclasses.replace(base, learning_rate=lr, l2=l2)
         model = SparseLrModel(vocab_sizes)
-        history = train_phase1(model, train_ids, train_labels, valid_ids, valid_labels, trial)
+        history = train_phase1(
+            model, train_ids, train_labels, valid_ids, valid_labels, trial, seed
+        )
         score = max(h["valid_metric"] for h in history)
         if best is None or score > best[2]:
             best = (lr, l2, score)

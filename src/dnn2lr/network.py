@@ -15,15 +15,14 @@ probability or on the logit; for identity-output networks the two coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DnnSettings
 from .data import UNSEEN_ID, load_arrays, save_arrays
 from .errors import ConfigError, EncodingError, IngestionError, TrainingError
 from .metrics import auc
 
-ALLOWED_BATCH_SIZES = (256, 512, 1024, 4096)
 GRADIENT_SPACES = ("probability", "logit")
 
 OUTPUT_SIGMOID = "sigmoid"
@@ -37,30 +36,6 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     total = 1.0 + ez
     out = np.where(z >= 0, 1.0 / total, ez / total)
     return np.clip(out, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-
-
-@dataclass
-class TrainConfig:
-    """Optimizer settings for the embedding network."""
-
-    learning_rate: float = 0.001
-    l2: float = 0.0001
-    batch_size: int = 256
-    epochs: int = 30
-    patience: int = 5
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.batch_size not in ALLOWED_BATCH_SIZES:
-            raise ConfigError(
-                f"batch_size must be one of {ALLOWED_BATCH_SIZES}, got {self.batch_size}"
-            )
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be non-negative")
-        if self.epochs < 1 or self.patience < 1:
-            raise ConfigError("epochs and patience must be at least 1")
 
 
 class EmbeddingDnn:
@@ -78,6 +53,8 @@ class EmbeddingDnn:
             raise ConfigError(f"unknown output mode {output!r}")
         if embedding_dim < 1 or any(v < 2 for v in vocab_sizes) or not vocab_sizes:
             raise ConfigError("need embedding_dim >= 1 and vocab sizes >= 2")
+        if any(h < 1 for h in hidden):
+            raise ConfigError(f"hidden widths must all be at least 1, got {tuple(hidden)}")
         self.vocab_sizes = [int(v) for v in vocab_sizes]
         self.embedding_dim = int(embedding_dim)
         self.hidden = tuple(int(h) for h in hidden)
@@ -268,25 +245,28 @@ def _batch_gradients(model: EmbeddingDnn, ids: np.ndarray, y: np.ndarray):
     return loss, grad
 
 
-def fit_with_early_stopping(params, n_rows: int, config, step, validate) -> list[dict]:
+def fit_with_early_stopping(
+    params, n_rows: int, settings, seed: int, step, validate
+) -> list[dict]:
     """The epoch loop every trainer shares; ``params`` are updated in place.
 
-    Each epoch draws one permutation of the ``n_rows`` training rows from
-    ``config.seed``'s stream and calls ``step(batch)`` per minibatch of
-    ``config.batch_size`` rows; ``step`` updates ``params`` and returns the
+    ``settings`` is a DnnSettings or an LrSettings: its epochs, patience and
+    batch_size rule the loop. Each epoch draws one permutation of the
+    ``n_rows`` training rows from ``default_rng(seed)`` and calls
+    ``step(batch)`` per minibatch; ``step`` updates ``params`` and returns the
     batch's summed loss. ``validate()`` returns (metric, score), higher score
     better. The arrays of the best-scoring epoch are restored into ``params``
     at the end; patience counts consecutive epochs without a better score.
     Returns one history row per epoch: epoch, train_loss, valid_metric.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     history: list[dict] = []
     best_score, best, stall = -np.inf, None, 0
-    for epoch in range(1, config.epochs + 1):
+    for epoch in range(1, settings.epochs + 1):
         order = rng.permutation(n_rows)
         loss_sum = 0.0
-        for start in range(0, n_rows, config.batch_size):
-            loss_sum += step(order[start : start + config.batch_size])
+        for start in range(0, n_rows, settings.batch_size):
+            loss_sum += step(order[start : start + settings.batch_size])
         epoch_loss = loss_sum / n_rows
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
@@ -296,7 +276,7 @@ def fit_with_early_stopping(params, n_rows: int, config, step, validate) -> list
             best_score, best, stall = score, [p.copy() for p in params], 0
         else:
             stall += 1
-            if stall >= config.patience:
+            if stall >= settings.patience:
                 break
     if best is not None:
         for p, saved in zip(params, best):
@@ -310,17 +290,21 @@ def train(
     train_labels: np.ndarray,
     valid_ids: np.ndarray,
     valid_labels: np.ndarray,
-    config: TrainConfig | None = None,
+    settings: DnnSettings | None = None,
+    seed: int = 0,
 ) -> list[dict]:
     """Adam on ``model.theta`` with minibatches, early stopping on the validation metric.
 
-    Classification tracks validation AUC (higher is better); regression tracks
-    validation MSE (lower is better). The parameters giving the best metric
-    are kept: after training returns, the model holds that snapshot, not the
-    last epoch. Returns fit_with_early_stopping's history.
+    The network's shape is ``model``'s own; ``settings`` (validated here,
+    DnnSettings() if None) gives the learning rate, L2, batch size, epochs and
+    patience, and ``seed`` the minibatch order. Classification tracks
+    validation AUC (higher is better); regression tracks validation MSE (lower
+    is better). The parameters giving the best metric are kept: after training
+    returns, the model holds that snapshot, not the last epoch. Returns
+    fit_with_early_stopping's history.
     """
-    config = config or TrainConfig()
-    config.validate()
+    settings = settings or DnnSettings()
+    settings.validate()
     ids = model._check_ids(train_ids)
     y = np.asarray(train_labels, dtype=np.float64).ravel()
     y_valid = np.asarray(valid_labels, dtype=np.float64).ravel()
@@ -338,14 +322,14 @@ def train(
         nonlocal steps, m_state, v_state, theta
         loss, grad = _batch_gradients(model, ids[batch], y[batch])
         steps += 1
-        if config.l2 > 0.0:
-            grad[: model.n_decay] += config.l2 * decay
+        if settings.l2 > 0.0:
+            grad[: model.n_decay] += settings.l2 * decay
         m_state *= beta1
         m_state += (1.0 - beta1) * grad
         v_state *= beta2
         v_state += (1.0 - beta2) * grad * grad
         correct1, correct2 = 1.0 - beta1**steps, 1.0 - beta2**steps
-        theta -= config.learning_rate * (m_state / correct1) / (np.sqrt(v_state / correct2) + eps)
+        theta -= settings.learning_rate * (m_state / correct1) / (np.sqrt(v_state / correct2) + eps)
         return loss * batch.size
 
     def validate() -> tuple[float, float]:
@@ -356,7 +340,7 @@ def train(
         metric = float(np.mean((valid_out - y_valid) ** 2))
         return metric, -metric
 
-    return fit_with_early_stopping([theta], ids.shape[0], config, step, validate)
+    return fit_with_early_stopping([theta], ids.shape[0], settings, seed, step, validate)
 
 
 # ---------------------------------------------------------------------- #

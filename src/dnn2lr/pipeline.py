@@ -23,6 +23,7 @@ Artifact map (inside the work directory)::
 from __future__ import annotations
 
 import csv
+import dataclasses
 import zlib
 from pathlib import Path
 
@@ -30,23 +31,16 @@ import numpy as np
 
 from . import model_io
 from .candidates import enumerate_candidates, load_candidates, save_candidates, top_epsilon
-from .candidates import read_cross_lines
+from .candidates import read_cross_lines, write_cross_lines
 from .config import PipelineConfig
-from .crosslr import (
-    LrConfig,
-    SparseLrModel,
-    split_keys,
-    train_phase1,
-    train_phase2,
-    tune_phase1,
-)
+from .crosslr import SparseLrModel, split_keys, train_phase1, train_phase2, tune_phase1
 from .data import NUMERICAL, Dataset, RawTable, Vocabulary, load_csv, save_csv, split_table
 from .data import load_arrays, save_arrays
 from .discretize import apply_edges, load_edges, parse_numeric, save_edges, select_granularity
 from .errors import ConfigError, Dnn2LrError, IngestionError, StageError
 from .inconsistency import compute_inconsistency, feasible_matrix
 from .metrics import auc, ks
-from .network import EmbeddingDnn, TrainConfig, load_model, save_model, train
+from .network import EmbeddingDnn, load_model, save_model, train
 from .search import beam_select, greedy_select, precompute_logit_columns
 
 
@@ -200,26 +194,10 @@ def stage_train_dnn(config: PipelineConfig) -> None:
     vocab, train_set, valid_set = _load_encoded(config)
     seed = _stage_seed(config, "train-dnn")
     model = EmbeddingDnn(
-        vocab.sizes(),
-        embedding_dim=config.dnn.embedding_dim,
-        hidden=config.dnn.hidden,
-        output="sigmoid",
-        seed=seed,
+        vocab.sizes(), config.dnn.embedding_dim, config.dnn.hidden, output="sigmoid", seed=seed
     )
     history = train(
-        model,
-        train_set.ids,
-        train_set.labels,
-        valid_set.ids,
-        valid_set.labels,
-        TrainConfig(
-            learning_rate=config.dnn.learning_rate,
-            l2=config.dnn.l2,
-            batch_size=config.dnn.batch_size,
-            epochs=config.dnn.epochs,
-            patience=config.dnn.patience,
-            seed=seed,
-        ),
+        model, train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, config.dnn, seed
     )
     save_model(model, ws.dnn)
     with open(ws.dnn_history, "w", newline="", encoding="utf-8") as handle:
@@ -316,19 +294,20 @@ def stage_train_lr(config: PipelineConfig) -> None:
     vocab, train_set, valid_set = _load_encoded(config)
     cands = load_candidates(ws.candidates_tsv, len(config.fields))
     seed = _stage_seed(config, "train-lr")
-    lr = config.lr
-    lr_config = LrConfig(lr.learning_rate, lr.l2, lr.batch_size, lr.epochs, lr.patience, seed)
-    if config.lr.grid_tune:
-        lr_config.learning_rate, lr_config.l2, _ = tune_phase1(
+    settings = config.lr
+    if settings.grid_tune:
+        learning_rate, l2, _ = tune_phase1(
             train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, vocab.sizes(),
-            config=lr_config,
+            settings, seed,
         )
+        settings = dataclasses.replace(settings, learning_rate=learning_rate, l2=l2)
     model = SparseLrModel(vocab.sizes())
     train_phase1(
-        model, train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, lr_config
+        model, train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, settings, seed
     )
     train_phase2(
-        model, train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, cands, lr_config
+        model, train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, cands,
+        settings, seed,
     )
     save_lr_full(ws.lr_full, model)
 
@@ -358,10 +337,9 @@ def stage_search(config: PipelineConfig) -> None:
             threads=config.threads,
         )
     names = [f.name for f in config.fields]
-    with open(ws.selected_tsv, "w", encoding="utf-8") as handle:
-        for step in result.steps:
-            fields = model.cross_fields[step.candidate]
-            handle.write(",".join(str(f) for f in fields) + f"\t{step.auc!r}\n")
+    write_cross_lines(
+        ws.selected_tsv, [(model.cross_fields[step.candidate], step.auc) for step in result.steps]
+    )
     with open(ws.search_log, "w", encoding="utf-8") as handle:
         handle.write(f"base_auc = {result.base_auc!r}\n")
         for i, step in enumerate(result.steps, start=1):
@@ -423,11 +401,16 @@ def stage_evaluate(config: PipelineConfig) -> dict:
         "final_test_ks": ks(labels, final_scores),
         "selected_cross_fields": selected if selected else "none",
     }
-    with open(ws.report, "w", encoding="utf-8") as handle:
-        for key, value in report.items():
-            rendered = value if isinstance(value, str) else repr(value)
-            handle.write(f"{key} = {rendered}\n")
+    ws.report.write_text(render_report(report), encoding="utf-8")
     return report
+
+
+def render_report(report: dict) -> str:
+    """One ``key = value`` line per entry: strings as they are, anything else by repr."""
+    return "".join(
+        f"{key} = {value if isinstance(value, str) else repr(value)}\n"
+        for key, value in report.items()
+    )
 
 
 STAGES = {

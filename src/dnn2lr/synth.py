@@ -15,10 +15,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .config import DnnSettings
 from .data import CATEGORICAL, NUM_RESERVED_IDS, FieldSchema, RawTable
 from .errors import ConfigError
 from .inconsistency import compute_inconsistency
-from .network import EmbeddingDnn, TrainConfig, train
+from .network import EmbeddingDnn, train
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,7 @@ class FormulationData:
 # Ids 0/1 stay reserved even though the generator never emits them; each of
 # the 101 possible 2-decimal values owns one code.
 STUDY_VOCAB_SIZE = NUM_RESERVED_IDS + 101
+STUDY_VALID_FRACTION = 0.2  # the held-out tail of each run's rows
 
 
 def generate_formulation_dataset(formulation, k: int, seed: int = 0) -> FormulationData:
@@ -119,20 +121,6 @@ def generate_formulation_dataset(formulation, k: int, seed: int = 0) -> Formulat
 
 
 @dataclass
-class StudyConfig:
-    """Network and split settings for the formulation study."""
-
-    embedding_dim: int = 8
-    hidden: tuple[int, ...] = (32, 16)
-    learning_rate: float = 0.001
-    l2: float = 0.0001
-    batch_size: int = 256
-    epochs: int = 30
-    patience: int = 5
-    valid_fraction: float = 0.2
-
-
-@dataclass
 class StudyRow:
     """Study outcome for one formulation and seed."""
 
@@ -146,48 +134,36 @@ def run_inconsistency_study(
     formulations,
     seeds,
     k: int = 10000,
-    config: StudyConfig | None = None,
+    settings: DnnSettings | None = None,
 ) -> list[StudyRow]:
     """Train a small regression network per (formulation, seed), measure d.
 
     The three inputs enter as per-value categorical embeddings (no binning:
-    each 2-decimal value is its own code). The network uses identity output
-    and squared-error loss since targets are continuous. Inconsistency is
+    each 2-decimal value is its own code). The network, by default
+    ``DnnSettings(embedding_dim=8, hidden=(32, 16))``, uses identity output
+    and squared-error loss since targets are continuous, and each run's seed
+    seeds both its initial weights and its minibatch order. Inconsistency is
     measured on the held-out fraction, and a formulation counts as detected
     when fields a and b both show higher mean d than the additive field c.
     """
-    config = config or StudyConfig()
+    settings = settings or DnnSettings(embedding_dim=8, hidden=(32, 16))
     rows: list[StudyRow] = []
     for formulation in formulations:
         form = get_formulation(formulation) if isinstance(formulation, str) else formulation
         for seed in seeds:
             data = generate_formulation_dataset(form, k, seed=seed)
-            split = max(1, int(round(len(data) * (1.0 - config.valid_fraction))))
+            split = max(1, int(round(len(data) * (1.0 - STUDY_VALID_FRACTION))))
             split = min(split, len(data) - 1) if len(data) > 1 else 1
             train_ids, valid_ids = data.codes[:split], data.codes[split:]
             y_train, y_valid = data.target[:split], data.target[split:]
             model = EmbeddingDnn(
                 [STUDY_VOCAB_SIZE] * 3,
-                embedding_dim=config.embedding_dim,
-                hidden=config.hidden,
+                embedding_dim=settings.embedding_dim,
+                hidden=settings.hidden,
                 output="identity",
                 seed=seed,
             )
-            train(
-                model,
-                train_ids,
-                y_train,
-                valid_ids,
-                y_valid,
-                TrainConfig(
-                    learning_rate=config.learning_rate,
-                    l2=config.l2,
-                    batch_size=config.batch_size,
-                    epochs=config.epochs,
-                    patience=config.patience,
-                    seed=seed,
-                ),
-            )
+            train(model, train_ids, y_train, valid_ids, y_valid, settings, seed)
             d = compute_inconsistency(model, valid_ids).d
             mean_d = tuple(float(v) for v in d.mean(axis=0))
             detected = mean_d[0] > mean_d[2] and mean_d[1] > mean_d[2]

@@ -16,7 +16,7 @@ import pytest
 
 from dnn2lr.candidates import candidate_space_size
 from dnn2lr.config import DnnSettings, LrSettings, PipelineConfig
-from dnn2lr.crosslr import LrConfig, SparseLrModel, train_phase1, train_phase2
+from dnn2lr.crosslr import SparseLrModel, train_phase1, train_phase2
 from dnn2lr.data import CATEGORICAL, FieldSchema, save_csv
 from dnn2lr.inconsistency import compute_inconsistency, feasible_matrix
 from dnn2lr.metrics import auc, ks
@@ -235,13 +235,13 @@ def test_criterion_07_phase1_weights_frozen_through_phase2():
         cut = 450
         model = SparseLrModel(sizes)
         train_phase1(
-            model, ids[:cut], y[:cut], ids[cut:], y[cut:], LrConfig(seed=trial, epochs=8)
+            model, ids[:cut], y[:cut], ids[cut:], y[cut:], LrSettings(epochs=8), seed=trial
         )
         before = [w.tobytes() for w in model.field_weights]
         bias_before = model.bias
         pairs = [(0, 1)] if n == 2 else [(0, 1), (1, n - 1)]
         train_phase2(
-            model, ids[:cut], y[:cut], ids[cut:], y[cut:], pairs, LrConfig(seed=trial, epochs=8)
+            model, ids[:cut], y[:cut], ids[cut:], y[cut:], pairs, LrSettings(epochs=8), seed=trial
         )
         after = [w.tobytes() for w in model.field_weights]
         if before != after or bias_before != model.bias:

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from dnn2lr.crosslr import (
     CrossKeys,
-    LrConfig,
     SparseLrModel,
     split_keys,
     train_phase1,
     train_phase2,
     tune_phase1,
 )
+from dnn2lr.config import LrSettings
 from dnn2lr.errors import ConfigError, EncodingError, TrainingError
 from dnn2lr.metrics import auc
 from dnn2lr.network import stable_sigmoid
@@ -146,7 +146,7 @@ class TestPhase1:
         y = (ids[:, 0] >= 4).astype(np.int8)
         model = SparseLrModel([6, 6])
         history = train_phase1(
-            model, ids[:750], y[:750], ids[750:], y[750:], LrConfig(seed=0, epochs=20)
+            model, ids[:750], y[:750], ids[750:], y[750:], LrSettings(epochs=20), seed=0
         )
         assert history[-1]["valid_metric"] > 0.99
         assert auc(y[750:], model.predict(ids[750:])) > 0.99
@@ -154,14 +154,14 @@ class TestPhase1:
     def test_xor_is_invisible_to_phase1(self):
         tr_ids, tr_y, va_ids, va_y = make_xor_data(seed=1)
         model = SparseLrModel([6, 6, 6])
-        train_phase1(model, tr_ids, tr_y, va_ids, va_y, LrConfig(seed=1, epochs=15))
+        train_phase1(model, tr_ids, tr_y, va_ids, va_y, LrSettings(epochs=15), seed=1)
         assert auc(va_y, model.predict(va_ids)) < 0.6
 
     def test_single_class_valid_rejected(self):
         ids = np.zeros((20, 2), dtype=np.int32)
         model = SparseLrModel([3, 3])
         with pytest.raises(TrainingError):
-            train_phase1(model, ids, np.ones(20), ids[:4], np.ones(4), LrConfig(epochs=1))
+            train_phase1(model, ids, np.ones(20), ids[:4], np.ones(4), LrSettings(epochs=1))
 
     def test_restores_best_epoch(self):
         rng = np.random.default_rng(3)
@@ -170,7 +170,7 @@ class TestPhase1:
         model = SparseLrModel([4, 4])
         history = train_phase1(
             model, ids[:300], y[:300], ids[300:], y[300:],
-            LrConfig(seed=3, epochs=10, patience=10),
+            LrSettings(epochs=10, patience=10), seed=3,
         )
         best = max(h["valid_metric"] for h in history)
         assert auc(y[300:], model.predict(ids[300:])) == pytest.approx(best, abs=1e-12)
@@ -180,10 +180,10 @@ class TestPhase2:
     def test_cross_feature_solves_xor(self):
         tr_ids, tr_y, va_ids, va_y = make_xor_data(seed=5)
         model = SparseLrModel([6, 6, 6])
-        train_phase1(model, tr_ids, tr_y, va_ids, va_y, LrConfig(seed=5, epochs=15))
+        train_phase1(model, tr_ids, tr_y, va_ids, va_y, LrSettings(epochs=15), seed=5)
         before = auc(va_y, model.predict(va_ids))
         train_phase2(
-            model, tr_ids, tr_y, va_ids, va_y, [(0, 1)], LrConfig(seed=5, epochs=25)
+            model, tr_ids, tr_y, va_ids, va_y, [(0, 1)], LrSettings(epochs=25), seed=5
         )
         after = auc(va_y, model.predict(va_ids))
         # 5% label noise caps the reachable AUC; 0.9 is far above chance
@@ -193,11 +193,11 @@ class TestPhase2:
     def test_phase1_weights_frozen_bit_for_bit(self):
         tr_ids, tr_y, va_ids, va_y = make_xor_data(seed=7)
         model = SparseLrModel([6, 6, 6])
-        train_phase1(model, tr_ids, tr_y, va_ids, va_y, LrConfig(seed=7, epochs=10))
+        train_phase1(model, tr_ids, tr_y, va_ids, va_y, LrSettings(epochs=10), seed=7)
         saved_weights = [w.copy() for w in model.field_weights]
         saved_bias = model.bias
         train_phase2(
-            model, tr_ids, tr_y, va_ids, va_y, [(0, 1), (1, 2)], LrConfig(seed=7, epochs=10)
+            model, tr_ids, tr_y, va_ids, va_y, [(0, 1), (1, 2)], LrSettings(epochs=10), seed=7
         )
         assert model.bias == saved_bias
         for w, s in zip(model.field_weights, saved_weights):
@@ -211,7 +211,7 @@ class TestPhase2:
         ids_va = np.array([[3, 3], [2, 2], [2, 3]], dtype=np.int32)
         y_va = np.array([0, 1, 0], dtype=np.int8)
         model = SparseLrModel([4, 4])
-        train_phase2(model, ids_tr, y_tr, ids_va, y_va, [(0, 1)], LrConfig(epochs=3))
+        train_phase2(model, ids_tr, y_tr, ids_va, y_va, [(0, 1)], LrSettings(epochs=3))
         logits = model.logits(ids_va)
         assert logits[0] == model.bias  # untouched base
         assert logits[2] == model.bias
@@ -221,7 +221,7 @@ class TestPhase2:
         y = np.array([0, 1] * 5)
         model = SparseLrModel([3, 3])
         with pytest.raises(ConfigError):
-            train_phase2(model, ids, y, ids, y, [(0, 1), (1, 0)], LrConfig(epochs=1))
+            train_phase2(model, ids, y, ids, y, [(0, 1), (1, 0)], LrSettings(epochs=1))
 
     def test_candidate_objects_accepted(self):
         from dnn2lr.candidates import CrossFieldCandidate
@@ -229,7 +229,7 @@ class TestPhase2:
         tr_ids, tr_y, va_ids, va_y = make_xor_data(seed=9, k=400)
         model = SparseLrModel([6, 6, 6])
         cand = CrossFieldCandidate(fields=(1, 0), count=3)
-        train_phase2(model, tr_ids, tr_y, va_ids, va_y, [cand], LrConfig(seed=9, epochs=5))
+        train_phase2(model, tr_ids, tr_y, va_ids, va_y, [cand], LrSettings(epochs=5), seed=9)
         assert model.cross_fields == [(0, 1)]
 
 
@@ -240,7 +240,7 @@ class TestTune:
         y = (ids[:, 1] == 3).astype(np.int8)
         lr, l2, score = tune_phase1(
             ids[:200], y[:200], ids[200:], y[200:], [5, 5],
-            LrConfig(epochs=5), lr_grid=(0.01, 0.1), l2_grid=(0.001,)
+            LrSettings(epochs=5), lr_grid=(0.01, 0.1), l2_grid=(0.001,)
         )
         assert lr in (0.01, 0.1)
         assert l2 == 0.001
@@ -251,5 +251,5 @@ class TestTune:
         ids = rng.integers(2, 5, size=(240, 2)).astype(np.int32)
         y = rng.integers(0, 2, size=240).astype(np.int8)
         args = (ids[:160], y[:160], ids[160:], y[160:], [5, 5])
-        kwargs = dict(config=LrConfig(epochs=3), lr_grid=(0.01, 0.1), l2_grid=(0.01, 0.1))
+        kwargs = dict(settings=LrSettings(epochs=3), lr_grid=(0.01, 0.1), l2_grid=(0.01, 0.1))
         assert tune_phase1(*args, **kwargs) == tune_phase1(*args, **kwargs)

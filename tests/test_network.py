@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnn2lr.config import DnnSettings
 from dnn2lr.data import UNSEEN_ID
 from dnn2lr.errors import ConfigError, EncodingError, IngestionError, TrainingError
 from dnn2lr.network import (
     OUTPUT_IDENTITY,
     OUTPUT_SIGMOID,
     EmbeddingDnn,
-    TrainConfig,
     _batch_gradients,
     load_model,
     save_model,
@@ -228,7 +228,7 @@ class TestTraining:
         model = EmbeddingDnn([6, 6], embedding_dim=4, hidden=(16,), seed=0)
         history = train(
             model, ids[:600], y[:600], ids[600:], y[600:],
-            TrainConfig(epochs=15, batch_size=256, seed=0),
+            DnnSettings(epochs=15, batch_size=256), seed=0,
         )
         assert history[-1]["epoch"] <= 15
         assert max(h["valid_metric"] for h in history) > 0.95
@@ -240,7 +240,7 @@ class TestTraining:
         model = EmbeddingDnn([5, 5], embedding_dim=3, hidden=(8,), seed=1)
         history = train(
             model, ids[:300], y[:300], ids[300:], y[300:],
-            TrainConfig(epochs=12, patience=12, batch_size=256, seed=1),
+            DnnSettings(epochs=12, patience=12, batch_size=256), seed=1,
         )
         from dnn2lr.metrics import auc
 
@@ -253,12 +253,17 @@ class TestTraining:
         y = np.array([0, 1] * 20, dtype=np.int8)
         model = EmbeddingDnn([5, 5], embedding_dim=2, hidden=(4,))
         with pytest.raises(TrainingError):
-            train(model, ids, y, ids[:5], np.ones(5, dtype=np.int8), TrainConfig(epochs=2))
+            train(model, ids, y, ids[:5], np.ones(5, dtype=np.int8), DnnSettings(epochs=2))
+
+    @pytest.mark.parametrize("hidden", [(0,), (16, -3)])
+    def test_hidden_widths_below_one_rejected(self, hidden):
+        with pytest.raises(ConfigError, match="hidden"):
+            EmbeddingDnn([5, 5], embedding_dim=2, hidden=hidden)
 
     def test_batch_size_whitelist(self):
         with pytest.raises(ConfigError):
-            TrainConfig(batch_size=128).validate()
-        TrainConfig(batch_size=512).validate()
+            DnnSettings(batch_size=128).validate()
+        DnnSettings(batch_size=512).validate()
 
 
 class TestModelFile:

@@ -348,3 +348,25 @@ class TestCli:
         proc = run_cli("run-all", "--config", str(conf_path))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: config: ")
+
+
+@pytest.mark.parametrize("line", [
+    "dnn.batch_size = 100",
+    "dnn.hidden = 0",
+    "dnn.hidden = 16,-3",
+    "dnn.learning_rate = nan",
+    "lr.epochs = 0",
+    "lr.learning_rate = -1",
+    "lr.l2 = inf",
+    "split = 0.5,0.5",
+])
+@pytest.mark.parametrize("command", ["run-all", "ingest", "train-lr"])
+def test_bad_settings_fail_before_any_stage(tmp_path, capsys, command, line):
+    data_path = tmp_path / "planted.csv"
+    write_planted_csv(data_path, k=400)
+    conf_path = tmp_path / "run.conf"
+    conf_path.write_text(make_config_text(data_path, tmp_path / "work") + line + "\n")
+    assert main([command, "--config", str(conf_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(r"^error: config: ", err[0]), err
+    assert not (tmp_path / "work").exists()
