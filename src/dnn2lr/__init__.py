@@ -40,7 +40,7 @@ from .metrics import auc, ks
 from .model_io import ExportedModel, export_model, load_exported
 from .network import EmbeddingDnn, load_model, save_model, train
 from .pipeline import run_all, run_stage
-from .search import SearchResult, beam_select, greedy_select, precompute_logit_columns
+from .search import SearchResult, beam_select, precompute_logit_columns
 from .synth import (
     FORMULATIONS,
     generate_formulation_dataset,
@@ -87,7 +87,6 @@ __all__ = [
     "generate_formulation_dataset",
     "generate_planted_cross",
     "global_weight_table",
-    "greedy_select",
     "ks",
     "load_config",
     "load_csv",

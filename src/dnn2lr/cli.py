@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per pipeline stage plus run-all.
 
 Every command exits 0 on success. Failures print a single machine-parsable
-line ``error: <kind>: <message>`` to stderr and exit 1.
+line ``error: <kind>: <message>`` to stderr and exit 1; a path that cannot be
+opened reports as ``error: ingest: <path>: <reason>``.
 """
 
 from __future__ import annotations
@@ -130,6 +131,10 @@ def main(argv: list[str] | None = None) -> int:
     except Dnn2LrError as err:
         message = " ".join(str(err).split())
         print(f"error: {err.kind}: {message}", file=sys.stderr)
+        return 1
+    except OSError as err:  # a path the user gave cannot be opened
+        message = f"{err.filename}: {err.strerror}" if err.filename else str(err)
+        print(f"error: ingest: {' '.join(message.split())}", file=sys.stderr)
         return 1
 
 

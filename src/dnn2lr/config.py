@@ -170,14 +170,20 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _parse_path(text: str) -> Path:
+    if not text:
+        raise ValueError("empty path")  # Path("") would mean the current directory
+    return Path(text)
+
+
 # One reader per field type; a field of any other type fails at import.
 _READERS = {
     str: str,
     int: int,
     float: float,
     bool: _parse_bool,
-    Path: Path,
-    Path | None: Path,
+    Path: _parse_path,
+    Path | None: lambda text: _parse_path(text) if text else None,
     int | None: lambda text: int(text) if text else None,
     tuple[int, ...]: _parse_int_tuple,
     tuple[float, float, float]: lambda text: tuple(float(part) for part in text.split(",")),
@@ -238,6 +244,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config file not found or not a file: {path}")
     return parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))

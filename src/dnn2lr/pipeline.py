@@ -41,7 +41,7 @@ from .errors import ConfigError, Dnn2LrError, IngestionError, StageError
 from .inconsistency import compute_inconsistency, feasible_matrix
 from .metrics import auc, ks
 from .network import EmbeddingDnn, load_model, save_model, train
-from .search import beam_select, greedy_select, precompute_logit_columns
+from .search import beam_select, precompute_logit_columns
 
 
 class Workspace:
@@ -117,8 +117,8 @@ def stage_ingest(config: PipelineConfig) -> None:
     ws = Workspace(config.workdir)
     if config.data is None:
         raise IngestionError("no data file configured (set data = <path> or pass --data)")
-    if not Path(config.data).exists():
-        raise IngestionError(f"data file not found: {config.data}")
+    if not Path(config.data).is_file():
+        raise IngestionError(f"data file not found or not a file: {config.data}")
     table = load_csv(config.data, config.fields, config.label)
     train_part, valid_part, test_part = split_table(
         table, config.split, seed=_stage_seed(config, "ingest")
@@ -144,24 +144,23 @@ def stage_discretize(config: PipelineConfig) -> None:
     """Bin numerical fields, build the vocabulary, write encoded id tables."""
     ws = Workspace(config.workdir)
     train_part, valid_part, test_part = _load_splits(config)
+    parts = (train_part, valid_part, test_part)
     edges_by_name = {}
     for f in config.fields:
         if f.kind != NUMERICAL:
             continue
-        train_values = parse_numeric(train_part.column(f.index), field_name=f.name)
-        valid_values = parse_numeric(valid_part.column(f.index), field_name=f.name)
+        values = [parse_numeric(part.column(f.index), field_name=f.name) for part in parts]
         _, edges = select_granularity(
-            train_values,
+            values[0],
             np.asarray(train_part.labels),
-            valid_values,
+            values[1],
             np.asarray(valid_part.labels),
             field=f.index,
             candidates=config.granularities,
         )
         edges_by_name[f.name] = edges
-        for part in (train_part, valid_part, test_part):
-            values = parse_numeric(part.column(f.index), field_name=f.name)
-            binned = apply_edges(edges, values)
+        for part, part_values in zip(parts, values):
+            binned = apply_edges(edges, part_values)
             for row, bin_label in zip(part.rows, binned):
                 row[f.index] = bin_label
     save_edges(ws.edges_tsv, edges_by_name)
@@ -319,23 +318,14 @@ def stage_search(config: PipelineConfig) -> None:
     vocab, _, valid_set = _load_encoded(config)
     model = load_lr_full(ws.lr_full, vocab.sizes())
     base, columns = precompute_logit_columns(model, valid_set.ids)
-    if config.beam_width > 1:
-        result = beam_select(
-            base,
-            columns,
-            valid_set.labels,
-            width=config.beam_width,
-            max_selected=config.max_selected,
-            threads=config.threads,
-        )
-    else:
-        result = greedy_select(
-            base,
-            columns,
-            valid_set.labels,
-            max_selected=config.max_selected,
-            threads=config.threads,
-        )
+    result = beam_select(
+        base,
+        columns,
+        valid_set.labels,
+        width=config.beam_width,
+        max_selected=config.max_selected,
+        threads=config.threads,
+    )
     names = [f.name for f in config.fields]
     write_cross_lines(
         ws.selected_tsv, [(model.cross_fields[step.candidate], step.auc) for step in result.steps]

@@ -11,6 +11,7 @@ tuple, which no additive model can express: the canonical end-to-end fixture.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -34,50 +35,36 @@ class Formulation:
     name: str
     expression: str
     interacting: bool
+    function: Callable = dataclass_field(repr=False, compare=False)
 
     def __call__(self, a, b, c):
-        return _EVALUATORS[self.name](a, b, c)
+        return self.function(a, b, c)
 
 
-_EVALUATORS = {
-    "mul_add": lambda a, b, c: a * b + c,
-    "mul_add_quad": lambda a, b, c: a * b + c**2,
-    "mul_sq_add_cube": lambda a, b, c: a * b**2 + c**3,
-    "cube_sq_add_cube": lambda a, b, c: a**3 * b**2 + c**3,
-    "div_damped": lambda a, b, c: a / (1.0 + 10.0 * b) + 1.0 / (0.1 + c),
-    "div_offset": lambda a, b, c: a / (0.1 + b) + 1.0 / (0.1 + c),
-    "ratio_quad": lambda a, b, c: (1.0 + a**2) / (0.5 + b) + c**2,
-    "log_mul": lambda a, b, c: np.log1p(10.0 * a * b) + c,
-    "log_mul_quad": lambda a, b, c: np.log1p(10.0 * a * b) + c**2,
-    "log_mul_exp": lambda a, b, c: np.log1p(10.0 * a * b) + np.exp(1.0 + c),
-    "log_lin_mul": lambda a, b, c: np.log1p(a) * b + c**2,
-    "exp_mul_sq": lambda a, b, c: np.exp(1.0 + a) * b**2 + c,
-    "exp_prod_quad": lambda a, b, c: np.exp(1.0 + a * b) + c**2,
-    "exp_prod_lin": lambda a, b, c: np.exp(1.0 + a * b) + 10.0 * c,
-    "add_all": lambda a, b, c: a + b + c,
-}
-
-_EXPRESSIONS = {
-    "mul_add": "a*b + c",
-    "mul_add_quad": "a*b + c^2",
-    "mul_sq_add_cube": "a*b^2 + c^3",
-    "cube_sq_add_cube": "a^3*b^2 + c^3",
-    "div_damped": "a/(1+10b) + 1/(0.1+c)",
-    "div_offset": "a/(0.1+b) + 1/(0.1+c)",
-    "ratio_quad": "(1+a^2)/(0.5+b) + c^2",
-    "log_mul": "ln(1+10ab) + c",
-    "log_mul_quad": "ln(1+10ab) + c^2",
-    "log_mul_exp": "ln(1+10ab) + e^(1+c)",
-    "log_lin_mul": "ln(1+a)*b + c^2",
-    "exp_mul_sq": "e^(1+a)*b^2 + c",
-    "exp_prod_quad": "e^(1+ab) + c^2",
-    "exp_prod_lin": "e^(1+ab) + 10c",
-    "add_all": "a + b + c",
+# name -> (expression, function); every formulation but the additive control interacts
+_FORMULAS = {
+    "mul_add": ("a*b + c", lambda a, b, c: a * b + c),
+    "mul_add_quad": ("a*b + c^2", lambda a, b, c: a * b + c**2),
+    "mul_sq_add_cube": ("a*b^2 + c^3", lambda a, b, c: a * b**2 + c**3),
+    "cube_sq_add_cube": ("a^3*b^2 + c^3", lambda a, b, c: a**3 * b**2 + c**3),
+    "div_damped": ("a/(1+10b) + 1/(0.1+c)", lambda a, b, c: a / (1.0 + 10.0 * b) + 1.0 / (0.1 + c)),
+    "div_offset": ("a/(0.1+b) + 1/(0.1+c)", lambda a, b, c: a / (0.1 + b) + 1.0 / (0.1 + c)),
+    "ratio_quad": ("(1+a^2)/(0.5+b) + c^2", lambda a, b, c: (1.0 + a**2) / (0.5 + b) + c**2),
+    "log_mul": ("ln(1+10ab) + c", lambda a, b, c: np.log1p(10.0 * a * b) + c),
+    "log_mul_quad": ("ln(1+10ab) + c^2", lambda a, b, c: np.log1p(10.0 * a * b) + c**2),
+    "log_mul_exp": (
+        "ln(1+10ab) + e^(1+c)", lambda a, b, c: np.log1p(10.0 * a * b) + np.exp(1.0 + c)
+    ),
+    "log_lin_mul": ("ln(1+a)*b + c^2", lambda a, b, c: np.log1p(a) * b + c**2),
+    "exp_mul_sq": ("e^(1+a)*b^2 + c", lambda a, b, c: np.exp(1.0 + a) * b**2 + c),
+    "exp_prod_quad": ("e^(1+ab) + c^2", lambda a, b, c: np.exp(1.0 + a * b) + c**2),
+    "exp_prod_lin": ("e^(1+ab) + 10c", lambda a, b, c: np.exp(1.0 + a * b) + 10.0 * c),
+    "add_all": ("a + b + c", lambda a, b, c: a + b + c),
 }
 
 FORMULATIONS: dict[str, Formulation] = {
-    name: Formulation(name=name, expression=_EXPRESSIONS[name], interacting=name != "add_all")
-    for name in _EVALUATORS
+    name: Formulation(name, expression, interacting=name != "add_all", function=function)
+    for name, (expression, function) in _FORMULAS.items()
 }
 
 

