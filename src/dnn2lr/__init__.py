@@ -34,7 +34,6 @@ from .inconsistency import (
     compute_inconsistency,
     feasible_matrix,
     global_weight_table,
-    local_weight_matrix,
 )
 from .metrics import auc, ks
 from .model_io import ExportedModel, export_model, load_exported
@@ -92,7 +91,6 @@ __all__ = [
     "load_csv",
     "load_exported",
     "load_model",
-    "local_weight_matrix",
     "precompute_logit_columns",
     "run_all",
     "run_inconsistency_study",

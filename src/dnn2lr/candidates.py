@@ -17,6 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .data import text_lines
 from .errors import ConfigError, IngestionError
 
 MIN_ORDER = 2
@@ -122,25 +123,24 @@ def read_cross_lines(path, n_fields: int, number=int) -> list[tuple[tuple[int, .
     and the line number.
     """
     out = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise IngestionError(f"{path}: line {lineno}: expected 2 columns")
-            try:
-                fields, value = tuple(int(f) for f in parts[0].split(",")), number(parts[1])
-            except ValueError:
-                raise IngestionError(f"{path}: line {lineno}: unreadable cell") from None
-            if not MIN_ORDER <= len(fields) <= MAX_ORDER:
-                raise IngestionError(f"{path}: line {lineno}: bad candidate order")
-            if len(set(fields)) != len(fields) or not all(0 <= f < n_fields for f in fields):
-                raise IngestionError(
-                    f"{path}: line {lineno}: fields must be distinct and in 0..{n_fields - 1}"
-                )
-            out.append((fields, value))
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise IngestionError(f"{path}: line {lineno}: expected 2 columns")
+        try:
+            fields, value = tuple(int(f) for f in parts[0].split(",")), number(parts[1])
+        except ValueError:
+            raise IngestionError(f"{path}: line {lineno}: unreadable cell") from None
+        if not MIN_ORDER <= len(fields) <= MAX_ORDER:
+            raise IngestionError(f"{path}: line {lineno}: bad candidate order")
+        if len(set(fields)) != len(fields) or not all(0 <= f < n_fields for f in fields):
+            raise IngestionError(
+                f"{path}: line {lineno}: fields must be distinct and in 0..{n_fields - 1}"
+            )
+        out.append((fields, value))
     return out
 
 

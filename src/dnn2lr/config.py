@@ -30,7 +30,7 @@ import typing
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
-from .data import CATEGORICAL, NUMERICAL, FieldSchema, check_schema
+from .data import CATEGORICAL, NUMERICAL, FieldSchema, check_schema, text_lines
 from .errors import ConfigError
 
 _EPSILON_RULE = re.compile(r"^(\d*)n$")
@@ -246,4 +246,4 @@ def load_config(path) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found or not a file: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))
+    return parse_config_text("".join(text_lines(path, ConfigError)), origin=str(path))

@@ -24,7 +24,7 @@ from .candidates import MAX_ORDER, MIN_ORDER
 from .config import LrSettings
 from .errors import ConfigError, EncodingError, TrainingError
 from .metrics import auc
-from .network import fit_with_early_stopping, stable_sigmoid
+from .network import field_offsets, fit_with_early_stopping, stable_sigmoid
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 LR_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0)
@@ -91,7 +91,7 @@ class CompiledScorer:
 
     def __init__(self, model: "SparseLrModel", crosses: list[tuple[int, ...]]):
         self.bias = model.bias
-        self._field_offsets = np.cumsum([0, *model.vocab_sizes[:-1]])
+        self._field_offsets = field_offsets(model.vocab_sizes)
         self._field_table = np.concatenate(model.field_weights)
         which = [model.cross_index(f) for f in crosses]
         self._keys = CrossKeys([model.cross_fields[j] for j in which], model.vocab_sizes)

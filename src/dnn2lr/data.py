@@ -60,7 +60,6 @@ class RawTable:
     fields: list[FieldSchema]
     rows: list[list[str]]
     labels: list[int]
-    split: str = ""
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -75,10 +74,18 @@ class Dataset:
 
     ids: np.ndarray  # (K, n) int32
     labels: np.ndarray  # (K,) int8, values 0/1
-    split: str = ""
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
+
+
+def text_lines(path, error: type = IngestionError, newline: str | None = None):
+    """Yield the lines of a UTF-8 text file; any other bytes raise ``error`` naming the path."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError:
+            raise error(f"{path}: not UTF-8 text") from None
 
 
 def load_csv(path, fields: list[FieldSchema], label: str) -> RawTable:
@@ -90,32 +97,31 @@ def load_csv(path, fields: list[FieldSchema], label: str) -> RawTable:
     """
     check_schema(fields)
     ordered = sorted(fields, key=lambda f: f.index)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        positions = {}
-        for name in [f.name for f in ordered] + [label]:
-            if name not in header:
-                kind = "label" if name == label else "field"
-                raise IngestionError(f"{path}: header missing {kind} column {name!r}")
-            positions[name] = header.index(name)
-        label_pos = positions[label]
-        field_pos = [positions[f.name] for f in ordered]
-        rows: list[list[str]] = []
-        labels: list[int] = []
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
-                )
-            raw = cells[label_pos].strip()
-            if raw not in ("0", "1"):
-                raise LabelError(f"{path}: line {lineno}: label must be 0 or 1, got {raw!r}")
-            labels.append(int(raw))
-            rows.append([cells[p] for p in field_pos])
+    reader = csv.reader(text_lines(path, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: empty file") from None
+    positions = {}
+    for name in [f.name for f in ordered] + [label]:
+        if name not in header:
+            kind = "label" if name == label else "field"
+            raise IngestionError(f"{path}: header missing {kind} column {name!r}")
+        positions[name] = header.index(name)
+    label_pos = positions[label]
+    field_pos = [positions[f.name] for f in ordered]
+    rows: list[list[str]] = []
+    labels: list[int] = []
+    for lineno, cells in enumerate(reader, start=2):
+        if len(cells) != len(header):
+            raise IngestionError(
+                f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
+            )
+        raw = cells[label_pos].strip()
+        if raw not in ("0", "1"):
+            raise LabelError(f"{path}: line {lineno}: label must be 0 or 1, got {raw!r}")
+        labels.append(int(raw))
+        rows.append([cells[p] for p in field_pos])
     return RawTable(fields=list(ordered), rows=rows, labels=labels)
 
 
@@ -149,17 +155,14 @@ def split_table(
     i1 = max(1, min(i1, k - 2))
     i2 = max(i1 + 1, min(i2, k - 1))
     parts = (order[:i1], order[i1:i2], order[i2:])
-    out = []
-    for name, idx in zip(("train", "valid", "test"), parts):
-        out.append(
-            RawTable(
-                fields=table.fields,
-                rows=[table.rows[i] for i in idx],
-                labels=[table.labels[i] for i in idx],
-                split=name,
-            )
+    return tuple(
+        RawTable(
+            fields=table.fields,
+            rows=[table.rows[i] for i in idx],
+            labels=[table.labels[i] for i in idx],
         )
-    return tuple(out)
+        for idx in parts
+    )
 
 
 class Vocabulary:
@@ -227,39 +230,8 @@ class Vocabulary:
 
     def encode_table(self, table: RawTable) -> Dataset:
         return Dataset(
-            ids=self.encode_rows(table.rows),
-            labels=np.asarray(table.labels, dtype=np.int8),
-            split=table.split,
+            ids=self.encode_rows(table.rows), labels=np.asarray(table.labels, dtype=np.int8)
         )
-
-    def save(self, path) -> None:
-        """Persist as TSV lines ``field<TAB>value<TAB>id`` (learned ids only)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for f, name in enumerate(self.field_names):
-                for value in self._to_value[f]:
-                    handle.write(f"{name}\t{escape(value)}\t{self._to_id[f][value]}\n")
-
-    @classmethod
-    def load(cls, path, field_names: list[str]) -> "Vocabulary":
-        vocab = cls(field_names)
-        position = {name: f for f, name in enumerate(field_names)}
-        for lineno, (name, value, fid) in read_tsv(path, 3):
-            if name not in position:
-                raise IngestionError(f"{path}: line {lineno}: unknown field {name!r}")
-            if not fid.isdigit() or vocab.add(position[name], unescape(value)) != int(fid):
-                raise IngestionError(f"{path}: line {lineno}: id {fid!r} out of order")
-        return vocab
-
-
-def read_tsv(path, n_columns: int):
-    """Yield (line number, cells) for each non-empty line of a tab-separated file."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            cells = line.rstrip("\n").split("\t")
-            if cells != [""]:
-                if len(cells) != n_columns:
-                    raise IngestionError(f"{path}: line {lineno}: expected {n_columns} columns")
-                yield lineno, cells
 
 
 # Escapes for values stored in tab-separated artifacts. Bin labels are always

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MISSING, escape, read_tsv, unescape
+from .data import MISSING
 from .errors import DiscretizationError, IngestionError, UndefinedMetricError
 from .metrics import auc
 
@@ -159,25 +159,3 @@ def select_granularity(
             best_auc = score
     assert best is not None
     return best
-
-
-def save_edges(path, edges_by_name: dict[str, BinEdges]) -> None:
-    """Persist fitted cuts as TSV lines ``field<TAB>g<TAB>cut1,cut2,...``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for name, edges in edges_by_name.items():
-            cuts = ",".join(repr(float(c)) for c in edges.cuts)
-            handle.write(f"{escape(name)}\t{edges.granularity}\t{cuts}\n")
-
-
-def load_edges(path, name_to_index: dict[str, int]) -> dict[str, BinEdges]:
-    out: dict[str, BinEdges] = {}
-    for lineno, (name, granularity, cuts) in read_tsv(path, 3):
-        name = unescape(name)
-        if name not in name_to_index:
-            raise IngestionError(f"{path}: line {lineno}: unknown field {name!r}")
-        try:
-            values = tuple(float(c) for c in cuts.split(",")) if cuts else ()
-            out[name] = BinEdges(name_to_index[name], int(granularity), values)
-        except (ValueError, DiscretizationError) as err:
-            raise IngestionError(f"{path}: line {lineno}: {err}") from None
-    return out

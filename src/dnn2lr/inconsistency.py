@@ -37,13 +37,6 @@ class InconsistencyResult:
     d: np.ndarray  # (K, n) inconsistency values
 
 
-def local_weight_matrix(
-    model: EmbeddingDnn, ids: np.ndarray, space: str = "probability"
-) -> np.ndarray:
-    """Per-sample, per-field gradient vectors: (K, n, m)."""
-    return model.embedding_gradients(ids, space=space)
-
-
 def global_weight_table(
     local: np.ndarray, ids: np.ndarray, vocab_sizes: list[int]
 ) -> np.ndarray:
@@ -93,7 +86,7 @@ def compute_inconsistency(
     global weights are taken over exactly the rows passed in.
     """
     ids = np.asarray(ids)
-    local = local_weight_matrix(model, ids, space=space)
+    local = model.embedding_gradients(ids, space=space)
     table = global_weight_table(local, ids, model.vocab_sizes)
     global_rows = expand_global(table, ids, model.vocab_sizes)
     m = model.embedding_dim

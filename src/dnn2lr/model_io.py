@@ -17,7 +17,8 @@ Line grammar::
 
 An empty value string is the missing-value category. Combinations absent
 from the file score zero, mirroring training-time behaviour for unseen
-values.
+values. The ``discretize`` stage writes its vocabulary and bin edges in this
+same grammar, as a scorecard whose weights and bias are all 0.0.
 
 Loading compiles the file into id tables. The ``w`` lines rebuild the
 vocabulary: per field the empty value is the missing id 0 and the other
@@ -48,6 +49,7 @@ from .data import (
     Vocabulary,
     check_schema,
     escape,
+    text_lines,
     unescape,
 )
 from .discretize import BinEdges, bin_labels, bin_of, parse_number
@@ -119,6 +121,7 @@ class ExportedModel:
     ):
         self.fields = fields
         self.vocab = vocab
+        self.edges_by_name = edges_by_name
         self.model = model
         self._scorers = {True: model.compile(), False: model.compile([])}
         self._numeric = []  # (field, edges, id of each bin, then of missing: bin index -1)
@@ -160,14 +163,13 @@ def _weight(text: str) -> float:
 def load_exported(path) -> ExportedModel:
     """Read a model file and compile it; any bad line fails naming its number."""
     tagged: dict[str, list] = {tag: [] for tag in _ARITY}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if line and not line.startswith("#"):
-                parts = line.split("\t")
-                if _ARITY.get(parts[0]) != len(parts):
-                    raise IngestionError(f"{path}: line {lineno}: bad line tag {parts[0]!r}")
-                tagged[parts[0]].append((lineno, parts[1:]))
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        line = raw.rstrip("\n")
+        if line and not line.startswith("#"):
+            parts = line.split("\t")
+            if _ARITY.get(parts[0]) != len(parts):
+                raise IngestionError(f"{path}: line {lineno}: bad line tag {parts[0]!r}")
+            tagged[parts[0]].append((lineno, parts[1:]))
     if not tagged["field"] or not tagged["bias"]:
         raise IngestionError(f"{path}: not a model file (missing field or bias lines)")
     lineno = 0

@@ -138,20 +138,13 @@ class EmbeddingDnn:
 
     def forward_embedded(self, x: np.ndarray) -> np.ndarray:
         """Run the MLP head on pre-embedded inputs (used by gradient checks)."""
-        a = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
-            if i < last:
-                a = np.maximum(a, 0.0)
-        z = a[:, 0]
-        return stable_sigmoid(z) if self.output == OUTPUT_SIGMOID else z
+        return self._forward_cache(x)[0]
 
-    def _forward_cache(self, ids: np.ndarray):
-        x = self.embed(ids)
+    def _forward_cache(self, x: np.ndarray):
+        """The MLP head on embedded rows: (output, pre-activations, activations from x on)."""
+        a = np.asarray(x, dtype=np.float64)
         pre: list[np.ndarray] = []
-        post: list[np.ndarray] = [x]
-        a = x
+        post: list[np.ndarray] = [a]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w + b
@@ -160,15 +153,14 @@ class EmbeddingDnn:
             post.append(a)
         z_out = pre[-1][:, 0]
         y_hat = stable_sigmoid(z_out) if self.output == OUTPUT_SIGMOID else z_out
-        return y_hat, x, pre, post
+        return y_hat, pre, post
 
     def forward(self, ids: np.ndarray, batch_size: int = 8192) -> np.ndarray:
         """Model output per row: probabilities in (0, 1), or raw regression values."""
         ids = self._check_ids(ids)
         chunks = []
         for start in range(0, ids.shape[0], batch_size):
-            y_hat, *_ = self._forward_cache(ids[start : start + batch_size])
-            chunks.append(y_hat)
+            chunks.append(self._forward_cache(self.embed(ids[start : start + batch_size]))[0])
         if not chunks:
             return np.empty(0, dtype=np.float64)
         return np.concatenate(chunks)
@@ -192,7 +184,7 @@ class EmbeddingDnn:
         out = np.empty((total, self.n_fields, self.embedding_dim), dtype=np.float64)
         for start in range(0, total, batch_size):
             part = ids[start : start + batch_size]
-            y_hat, x, pre, _post = self._forward_cache(part)
+            y_hat, pre, _ = self._forward_cache(self.embed(part))
             if self.output == OUTPUT_SIGMOID and space == "probability":
                 delta = (y_hat * (1.0 - y_hat))[:, None]
             else:
@@ -224,7 +216,7 @@ def sum_rows_into(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None
 
 def _batch_gradients(model: EmbeddingDnn, ids: np.ndarray, y: np.ndarray):
     """Mean data-loss gradient for one minibatch as one theta-shaped vector, plus the mean loss."""
-    y_hat, x, pre, post = model._forward_cache(ids)
+    y_hat, pre, post = model._forward_cache(model.embed(ids))
     k = ids.shape[0]
     if model.output == OUTPUT_SIGMOID:
         loss = float(-np.mean(y * np.log(y_hat) + (1.0 - y) * np.log(1.0 - y_hat)))

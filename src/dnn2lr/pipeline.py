@@ -6,11 +6,13 @@ can be resumed or audited per stage. A missing prerequisite fails with
 a stage with unchanged inputs rewrites byte-identical artifacts: every stage
 derives its randomness from the root seed salted with the stage name. Text
 artifacts write floats with repr; the .npz array containers hold them exactly.
+``encoding.txt`` holds the vocabulary and bin edges in the scorecard grammar of
+``model_final.txt`` (see model_io), with every weight 0.0.
 
 Artifact map (inside the work directory)::
 
     ingest       train.csv valid.csv test.csv
-    discretize   edges.tsv vocab.tsv encoded_train.npz encoded_valid.npz encoded_test.npz
+    discretize   encoding.txt encoded_train.npz encoded_valid.npz encoded_test.npz
     train-dnn    dnn.npz dnn_history.csv
     inconsistency  inconsistency_d.npz
     candidates   candidates.tsv
@@ -36,7 +38,7 @@ from .config import PipelineConfig
 from .crosslr import SparseLrModel, split_keys, train_phase1, train_phase2, tune_phase1
 from .data import NUMERICAL, Dataset, RawTable, Vocabulary, load_csv, save_csv, split_table
 from .data import load_arrays, save_arrays
-from .discretize import apply_edges, load_edges, parse_numeric, save_edges, select_granularity
+from .discretize import apply_edges, parse_numeric, select_granularity
 from .errors import ConfigError, Dnn2LrError, IngestionError, StageError
 from .inconsistency import compute_inconsistency, feasible_matrix
 from .metrics import auc, ks
@@ -52,8 +54,7 @@ class Workspace:
         self.train_csv = self.root / "train.csv"
         self.valid_csv = self.root / "valid.csv"
         self.test_csv = self.root / "test.csv"
-        self.edges_tsv = self.root / "edges.tsv"
-        self.vocab_tsv = self.root / "vocab.tsv"
+        self.encoding = self.root / "encoding.txt"
         self.encoded_train = self.root / "encoded_train.npz"
         self.encoded_valid = self.root / "encoded_valid.npz"
         self.encoded_test = self.root / "encoded_test.npz"
@@ -83,7 +84,7 @@ def _write_encoded(path: Path, dataset: Dataset) -> None:
     save_arrays(path, ids=dataset.ids, labels=dataset.labels)
 
 
-def _read_encoded(path: Path, vocab_sizes: list[int], split: str = "") -> Dataset:
+def _read_encoded(path: Path, vocab_sizes: list[int]) -> Dataset:
     """One encoded split: ids inside each field's vocabulary, labels 0/1."""
     arrays = load_arrays(path, {"ids": (np.int32, 2), "labels": (np.int8, 1)})
     ids, labels = arrays["ids"], arrays["labels"]
@@ -93,7 +94,7 @@ def _read_encoded(path: Path, vocab_sizes: list[int], split: str = "") -> Datase
         raise IngestionError(f"{path}: ids outside the vocabulary")
     if ((labels != 0) & (labels != 1)).any():
         raise IngestionError(f"{path}: labels other than 0 and 1")
-    return Dataset(ids=ids, labels=labels, split=split)
+    return Dataset(ids=ids, labels=labels)
 
 
 def _write_matrix(path: Path, d: np.ndarray) -> None:
@@ -123,7 +124,10 @@ def stage_ingest(config: PipelineConfig) -> None:
     train_part, valid_part, test_part = split_table(
         table, config.split, seed=_stage_seed(config, "ingest")
     )
-    ws.root.mkdir(parents=True, exist_ok=True)
+    try:
+        ws.root.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise StageError(f"work directory {ws.root}: {err.strerror}") from None
     save_csv(ws.train_csv, train_part, label=config.label)
     save_csv(ws.valid_csv, valid_part, label=config.label)
     save_csv(ws.test_csv, test_part, label=config.label)
@@ -132,12 +136,8 @@ def stage_ingest(config: PipelineConfig) -> None:
 def _load_splits(config: PipelineConfig) -> tuple[RawTable, RawTable, RawTable]:
     ws = Workspace(config.workdir)
     _require("ingest", ws.train_csv, ws.valid_csv, ws.test_csv)
-    out = []
-    for path, split in ((ws.train_csv, "train"), (ws.valid_csv, "valid"), (ws.test_csv, "test")):
-        table = load_csv(path, config.fields, config.label)
-        table.split = split
-        out.append(table)
-    return tuple(out)
+    paths = (ws.train_csv, ws.valid_csv, ws.test_csv)
+    return tuple(load_csv(path, config.fields, config.label) for path in paths)
 
 
 def stage_discretize(config: PipelineConfig) -> None:
@@ -163,28 +163,32 @@ def stage_discretize(config: PipelineConfig) -> None:
             binned = apply_edges(edges, part_values)
             for row, bin_label in zip(part.rows, binned):
                 row[f.index] = bin_label
-    save_edges(ws.edges_tsv, edges_by_name)
-    names = [f.name for f in config.fields]
-    vocab = Vocabulary.build(names, train_part.rows)
-    vocab.save(ws.vocab_tsv)
+    vocab = Vocabulary.build([f.name for f in config.fields], train_part.rows)
+    model_io.export_model(
+        ws.encoding, SparseLrModel(vocab.sizes()), config.fields, vocab, edges_by_name, []
+    )
     _write_encoded(ws.encoded_train, vocab.encode_table(train_part))
     _write_encoded(ws.encoded_valid, vocab.encode_table(valid_part))
     _write_encoded(ws.encoded_test, vocab.encode_table(test_part))
 
 
-def _load_vocab(config: PipelineConfig) -> Vocabulary:
+def _load_encoding(config: PipelineConfig) -> model_io.ExportedModel:
+    """The zero-weight scorecard discretize wrote: its vocabulary and bin edges."""
     ws = Workspace(config.workdir)
-    _require("discretize", ws.vocab_tsv)
-    return Vocabulary.load(ws.vocab_tsv, [f.name for f in config.fields])
+    _require("discretize", ws.encoding)
+    encoding = model_io.load_exported(ws.encoding)
+    if encoding.fields != sorted(config.fields, key=lambda f: f.index):
+        raise IngestionError(f"{ws.encoding}: written for another schema")
+    return encoding
 
 
 def _load_encoded(config: PipelineConfig) -> tuple[Vocabulary, Dataset, Dataset]:
     """The vocabulary, and the train and valid splits checked against it."""
     ws = Workspace(config.workdir)
     _require("discretize", ws.encoded_train, ws.encoded_valid)
-    vocab = _load_vocab(config)
-    train = _read_encoded(ws.encoded_train, vocab.sizes(), "train")
-    return vocab, train, _read_encoded(ws.encoded_valid, vocab.sizes(), "valid")
+    vocab = _load_encoding(config).vocab
+    train = _read_encoded(ws.encoded_train, vocab.sizes())
+    return vocab, train, _read_encoded(ws.encoded_valid, vocab.sizes())
 
 
 def stage_train_dnn(config: PipelineConfig) -> None:
@@ -349,15 +353,11 @@ def stage_export_model(config: PipelineConfig) -> None:
     ws = Workspace(config.workdir)
     _require("search", ws.selected_tsv)
     _require("train-lr", ws.lr_full)
-    vocab = _load_vocab(config)
-    name_to_index = {f.name: f.index for f in config.fields}
-    edges_by_name = (
-        load_edges(ws.edges_tsv, name_to_index) if ws.edges_tsv.exists() else {}
-    )
-    model = load_lr_full(ws.lr_full, vocab.sizes())
+    encoding = _load_encoding(config)
+    model = load_lr_full(ws.lr_full, encoding.vocab.sizes())
     selected = load_selected(ws.selected_tsv, len(config.fields))
     model_io.export_model(
-        ws.model_final, model, config.fields, vocab, edges_by_name, selected
+        ws.model_final, model, config.fields, encoding.vocab, encoding.edges_by_name, selected
     )
 
 

@@ -113,7 +113,6 @@ class TestSplit:
         a = split_table(table, (0.6, 0.2, 0.2), seed=7)
         b = split_table(table, (0.6, 0.2, 0.2), seed=7)
         assert [len(p) for p in a] == [60, 20, 20]
-        assert [p.split for p in a] == ["train", "valid", "test"]
         for x, y in zip(a, b):
             assert x.rows == y.rows
         c = split_table(table, (0.6, 0.2, 0.2), seed=8)
@@ -186,31 +185,13 @@ class TestVocabulary:
         assert ids.dtype == np.int32
         assert ids.tolist() == [[3, 2], [UNSEEN_ID, MISSING_ID]]
 
-    def test_tsv_round_trip_with_awkward_characters(self, tmp_path):
-        rows = [["re\td", "bo|x"], ["blue", "a,b"], ["new\nline", "c"]]
-        vocab = Vocabulary.build(["color", "shape"], rows)
-        path = tmp_path / "vocab.tsv"
-        vocab.save(path)
-        back = Vocabulary.load(path, ["color", "shape"])
-        assert back.encode_value(0, "re\td") == 2
-        assert back.encode_value(0, "new\nline") == 4
-        assert back.encode_value(1, "a,b") == 3
-        assert back.sizes() == vocab.sizes()
-
-    def test_load_rejects_dense_order_break(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_text("color\tred\t2\ncolor\tblue\t5\n")
-        with pytest.raises(IngestionError):
-            Vocabulary.load(path, ["color"])
-
     def test_encode_table_dataset(self):
         fields = two_field_schema()
         rows = [["red", "box"], ["blue", "ball"]]
-        table = RawTable(fields=fields, rows=rows, labels=[0, 1], split="train")
+        table = RawTable(fields=fields, rows=rows, labels=[0, 1])
         vocab = Vocabulary.build(["color", "shape"], rows)
         ds = vocab.encode_table(table)
         assert isinstance(ds, Dataset)
-        assert ds.split == "train"
         assert ds.ids.shape == (2, 2)
         assert ds.labels.tolist() == [0, 1]
         assert ds.labels.dtype == np.int8

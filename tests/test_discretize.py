@@ -12,9 +12,7 @@ from dnn2lr.discretize import (
     bin_index,
     bin_of,
     fit_equal_frequency,
-    load_edges,
     parse_numeric,
-    save_edges,
     select_granularity,
 )
 from dnn2lr.errors import DiscretizationError, IngestionError
@@ -137,18 +135,3 @@ class TestSelectGranularity:
         second = select_granularity(x[:400], y[:400], x[400:], y[400:])
         assert first[0] == second[0]
         assert first[1] == second[1]
-
-
-class TestEdgesIo:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        by_name = {
-            "age": fit_equal_frequency(rng.normal(size=100), 10, field=0),
-            "income": fit_equal_frequency(rng.exponential(size=100), 100, field=1),
-        }
-        path = tmp_path / "edges.tsv"
-        save_edges(path, by_name)
-        back = load_edges(path, {"age": 0, "income": 1})
-        assert back.keys() == by_name.keys()
-        for name in by_name:
-            assert back[name] == by_name[name]

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnn2lr.errors import ConfigError
 from dnn2lr.inconsistency import (
@@ -13,7 +15,6 @@ from dnn2lr.inconsistency import (
     feasible_matrix,
     global_weight_table,
     inconsistency_values,
-    local_weight_matrix,
 )
 from dnn2lr.network import OUTPUT_IDENTITY, EmbeddingDnn
 
@@ -132,6 +133,21 @@ class TestFeasible:
             eta = float(rng.choice([0.01, 0.05, 0.1, 0.25, 0.5]))
             got = feasible_matrix(d, eta)
             assert np.array_equal(got, feasible_oracle(d, eta))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 20).map(lambda v: v / 10), min_size=n, max_size=n),
+                min_size=1, max_size=25,
+            )
+        ),
+        st.integers(1, 99).map(lambda v: v / 100),
+    )
+    def test_matches_sort_oracle_on_one_decimal_d(self, rows, eta):
+        # 21 distinct values over up to 200 entries: ties at the cut are common
+        d = np.array(rows)
+        assert np.array_equal(feasible_matrix(d, eta), feasible_oracle(d, eta))
 
     def test_exact_integer_boundary(self):
         # eta * N integral: exactly that many entries marked when values distinct

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnn2lr.errors import UndefinedMetricError
 from dnn2lr.metrics import auc, ks
@@ -79,7 +81,29 @@ class TestContracts:
             auc([1, 2, 0], [0.1, 0.2, 0.3])
 
 
+@st.composite
+def labelled_one_decimal_scores(draw):
+    """Labels holding both classes, and scores on a 0.1 grid so that ties are common."""
+    k = draw(st.integers(2, 60))
+    labels = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k).filter(
+        lambda y: 0 < sum(y) < len(y)))
+    scores = draw(st.lists(st.integers(-15, 15).map(lambda v: v / 10), min_size=k, max_size=k))
+    return np.array(labels), np.array(scores)
+
+
 class TestProperties:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(labelled_one_decimal_scores())
+    def test_auc_matches_pair_count(self, case):
+        labels, scores = case
+        assert abs(auc(labels, scores) - auc_pairwise(labels, scores)) <= 1e-12
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(labelled_one_decimal_scores())
+    def test_ks_matches_threshold_scan(self, case):
+        labels, scores = case
+        assert abs(ks(labels, scores) - ks_exhaustive(labels, scores)) <= 1e-12
+
     def test_matches_oracles_with_ties(self):
         rng = np.random.default_rng(42)
         for _ in range(60):

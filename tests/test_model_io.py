@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dnn2lr.crosslr import SparseLrModel, split_keys
 from dnn2lr.data import CATEGORICAL, NUMERICAL, FieldSchema, Vocabulary, escape, unescape
-from dnn2lr.discretize import BinEdges, apply_edges, parse_numeric
+from dnn2lr.discretize import BinEdges, apply_edges, bin_labels, parse_numeric
 from dnn2lr.errors import ConfigError, IngestionError
 from dnn2lr.cli import main
 from dnn2lr.model_io import _split_escaped, export_model, load_exported
@@ -292,3 +292,51 @@ class TestScorerProperty:
     def test_escaped_split_round_trip(self, values, sep):
         text = sep.join(escape(v) for v in values)
         assert [unescape(p) for p in _split_escaped(text, sep)] == values
+
+
+ODD_TEXT = "ab\t\n\r|,\\é中 "
+
+
+@st.composite
+def encodings(draw):
+    """A schema with awkward names, a vocabulary of awkward values, sorted finite cuts."""
+    names = draw(st.lists(st.text(alphabet=ODD_TEXT, min_size=1, max_size=4),
+                          min_size=1, max_size=5, unique=True))
+    kinds = draw(st.lists(st.sampled_from([CATEGORICAL, NUMERICAL]),
+                          min_size=len(names), max_size=len(names)))
+    fields = [FieldSchema(name, i, kind) for i, (name, kind) in enumerate(zip(names, kinds))]
+    finite = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+    edges = {}
+    cells = []
+    for f in fields:
+        if f.kind == NUMERICAL:
+            cuts = tuple(sorted(draw(st.lists(finite, max_size=4, unique=True))))
+            edges[f.name] = BinEdges(field=f.index, granularity=draw(st.integers(2, 1000)),
+                                     cuts=cuts)
+            cells.append(st.sampled_from(["", *bin_labels(edges[f.name])]))
+        else:
+            cells.append(st.text(alphabet=ODD_TEXT, max_size=3))
+    rows = draw(st.lists(st.tuples(*cells).map(list), max_size=12))
+    return fields, Vocabulary.build(names, rows), edges
+
+
+class TestEncodingFile:
+    """discretize's vocabulary and bin edges: a scorecard with every weight 0.0."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(encodings())
+    def test_round_trip(self, tmp_path_factory, encoding):
+        fields, vocab, edges = encoding
+        folder = tmp_path_factory.mktemp("encoding")
+        path, again = folder / "encoding.txt", folder / "again.txt"
+        export_model(path, SparseLrModel(vocab.sizes()), fields, vocab, edges, [])
+        back = load_exported(path)
+        assert back.fields == fields
+        assert back.vocab.sizes() == vocab.sizes()
+        for f in range(vocab.n_fields):
+            values = [vocab.decode(f, fid) for fid in range(2, vocab.size(f))]
+            assert [back.vocab.encode_value(f, v) for v in values] == list(range(2, vocab.size(f)))
+        assert back.edges_by_name == edges
+        export_model(again, SparseLrModel(back.vocab.sizes()), back.fields, back.vocab,
+                     back.edges_by_name, [])
+        assert again.read_bytes() == path.read_bytes()

@@ -173,7 +173,7 @@ class TestAdditive:
 
 def batch_gradients_oracle(model, ids, y):
     """The per-field backward: one np.add.at per field's own table, one array per parameter."""
-    y_hat, _, pre, post = model._forward_cache(ids)
+    y_hat, pre, post = model._forward_cache(model.embed(ids))
     k = ids.shape[0]
     if model.output == OUTPUT_SIGMOID:
         loss = float(-np.mean(y * np.log(y_hat) + (1.0 - y) * np.log(1.0 - y_hat)))

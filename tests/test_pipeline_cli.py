@@ -13,8 +13,9 @@ import pytest
 from dnn2lr.cli import main
 from dnn2lr.config import parse_config_text
 from dnn2lr.crosslr import SparseLrModel
-from dnn2lr.data import Vocabulary, save_csv
+from dnn2lr.data import save_csv
 from dnn2lr.errors import StageError
+from dnn2lr.model_io import load_exported
 from dnn2lr.pipeline import (
     STAGE_ORDER,
     Workspace,
@@ -150,7 +151,7 @@ class TestRunAll:
 
     def test_lr_full_round_trip(self, finished_run, tmp_path):
         config, _, ws, _ = finished_run
-        vocab = Vocabulary.load(ws.vocab_tsv, [f.name for f in config.fields])
+        vocab = load_exported(ws.encoding).vocab
         model = load_lr_full(ws.lr_full, vocab.sizes())
         copy_path = tmp_path / "lr_copy.npz"
         save_lr_full(copy_path, model)
@@ -193,8 +194,26 @@ def set_cell(name, index, value):
     return corrupt
 
 
-def replace_text(old, new):
-    return lambda path: path.write_text(path.read_text().replace(old, new, 1))
+def replace_text(old, new, count=1):
+    return lambda path: path.write_text(path.read_text().replace(old, new, count))
+
+
+# Not UTF-8: a lone continuation byte, then random bytes.
+NOT_UTF8 = b"\x80" + np.random.default_rng(0).bytes(199)
+
+
+def write_not_utf8(path):
+    path.write_bytes(NOT_UTF8)
+
+
+def duplicate_first_value(path):
+    """Repeat the first w line that names a value other than missing."""
+    lines = path.read_text().splitlines()
+    first = next(line for line in lines if line.startswith("w\t") and line.split("\t")[2])
+    path.write_text("\n".join(lines + [first]) + "\n")
+
+
+F00 = "field\t0\tf00\tcategorical"
 
 
 class TestArtifactReaders:
@@ -212,9 +231,15 @@ class TestArtifactReaders:
             ("search", "lr_full.npz", set_cell("cross_ids", 0, -1)),
             ("search", "lr_full.npz", set_cell("cross_ids", 0, 10**6)),
             ("search", "lr_full.npz", lambda path: save_lr_full(path, SparseLrModel([3] * 8))),
-            ("train-lr", "vocab.tsv", replace_text("\t2\n", "\tx\n")),
-            ("export-model", "edges.tsv", lambda path: path.write_text("f00\t10\tnan,1.0\n")),
-            ("export-model", "edges.tsv", lambda path: path.write_text("f00\tten\t1.0\n")),
+            ("train-lr", "encoding.txt", duplicate_first_value),
+            ("export-model", "encoding.txt", replace_text(F00, F00 + "\nedges\tf00\t10\tnan,1.0")),
+            ("export-model", "encoding.txt", replace_text(F00, F00 + "\nedges\tf00\tten\t1.0")),
+            ("train-dnn", "encoding.txt", replace_text("\tf07\t", "\tg07\t", -1)),
+            ("export-model", "encoding.txt", replace_text(
+                F00, F00.replace("categorical", "numerical") + "\nedges\tf00\t10\t1.0")),
+            ("train-lr", "encoding.txt", write_not_utf8),
+            ("train-lr", "candidates.tsv", write_not_utf8),
+            ("export-model", "selected.tsv", write_not_utf8),
             ("export-model", "selected.tsv", lambda path: path.write_text("0,x\t0.5\n")),
             ("export-model", "selected.tsv", lambda path: path.write_text("0,0\t0.5\n")),
             ("export-model", "selected.tsv", lambda path: path.write_text("0,99\t0.5\n")),
@@ -223,7 +248,9 @@ class TestArtifactReaders:
         ids=[
             "id-999", "label-2", "dnn-cut-to-500-bytes", "dnn-nan-weight", "d-nan", "d-negative",
             "member-id-negative", "member-id-out-of-range", "lr-other-vocabulary",
-            "vocab-id-not-int", "edges-nan-cut", "edges-granularity-not-int",
+            "encoding-duplicate-value", "edges-nan-cut", "edges-granularity-not-int",
+            "encoding-renamed-field", "encoding-kind-changed", "encoding-not-utf8",
+            "candidates-not-utf8", "selected-not-utf8",
             "selected-not-int", "selected-same-field", "selected-field-99", "selected-one-field",
         ],
     )
@@ -398,3 +425,29 @@ def test_unusable_paths_fail_in_one_line(tmp_path, capsys, monkeypatch, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(r"^error: [a-z]+: ", err[0]), err
     assert list(cwd.iterdir()) == [] and not (tmp_path / "work").exists()
+
+
+def test_non_utf8_input_fails_in_one_line(tmp_path, capsys):
+    noise = tmp_path / "noise.bin"
+    noise.write_bytes(NOT_UTF8)
+    data = tmp_path / "d.csv"
+    data.write_text("f00,y\na,1\nb,0\n")
+    conf = _config_with(tmp_path, data=str(noise), workdir=str(tmp_path / "work"))
+    cases = [
+        (["run-all", "--config", str(noise)], "config"),
+        (["ingest", "--config", conf], "ingest"),
+        (["evaluate", "--model", str(noise), "--data", str(data)], "ingest"),
+    ]
+    for argv, kind in cases:
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {kind}: {noise}: not UTF-8 text"], argv
+
+
+def test_work_directory_that_is_a_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wfile").write_text("")
+    conf = _config_with(tmp_path, data=str(tmp_path / "planted.csv"), workdir="work")
+    assert main(["ingest", "--config", conf, "--workdir", "wfile"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: pipeline: work directory wfile: File exists"]
