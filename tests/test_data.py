@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from dnn2lr.crosslr import SparseLrModel
 from dnn2lr.data import (
     CATEGORICAL,
     MISSING,
@@ -23,6 +24,7 @@ from dnn2lr.data import (
     split_table,
 )
 from dnn2lr.errors import ConfigError, EncodingError, IngestionError, LabelError
+from dnn2lr.model_io import export_model, load_exported
 
 
 def two_field_schema():
@@ -184,6 +186,17 @@ class TestVocabulary:
         ids = vocab.encode_rows([["blue", "box"], ["green", ""]])
         assert ids.dtype == np.int32
         assert ids.tolist() == [[3, 2], [UNSEEN_ID, MISSING_ID]]
+
+    def test_tsv_round_trip_with_awkward_characters(self, tmp_path):
+        rows = [["re\td", "bo|x"], ["blue", "a,b"], ["new\nline", "c"]]
+        vocab = Vocabulary.build(["color", "shape"], rows)
+        path = tmp_path / "encoding.txt"
+        export_model(path, SparseLrModel(vocab.sizes()), two_field_schema(), vocab, {}, [])
+        back = load_exported(path).vocab
+        assert back.encode_value(0, "re\td") == 2
+        assert back.encode_value(0, "new\nline") == 4
+        assert back.encode_value(1, "a,b") == 3
+        assert back.sizes() == vocab.sizes()
 
     def test_encode_table_dataset(self):
         fields = two_field_schema()

@@ -15,7 +15,10 @@ from dnn2lr.discretize import (
     parse_numeric,
     select_granularity,
 )
+from dnn2lr.crosslr import SparseLrModel
+from dnn2lr.data import NUMERICAL, FieldSchema, Vocabulary
 from dnn2lr.errors import DiscretizationError, IngestionError
+from dnn2lr.model_io import export_model, load_exported
 
 
 def bin_index_oracle(cuts, v):
@@ -135,3 +138,20 @@ class TestSelectGranularity:
         second = select_granularity(x[:400], y[:400], x[400:], y[400:])
         assert first[0] == second[0]
         assert first[1] == second[1]
+
+
+class TestEdgesIo:
+    def test_round_trip(self, tmp_path):
+        rng = np.random.default_rng(1)
+        by_name = {
+            "age": fit_equal_frequency(rng.normal(size=100), 10, field=0),
+            "income": fit_equal_frequency(rng.exponential(size=100), 100, field=1),
+        }
+        fields = [FieldSchema("age", 0, NUMERICAL), FieldSchema("income", 1, NUMERICAL)]
+        vocab = Vocabulary.build(["age", "income"], [])
+        path = tmp_path / "encoding.txt"
+        export_model(path, SparseLrModel(vocab.sizes()), fields, vocab, by_name, [])
+        back = load_exported(path).edges_by_name
+        assert back.keys() == by_name.keys()
+        for name in by_name:
+            assert back[name] == by_name[name]
