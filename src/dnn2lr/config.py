@@ -81,7 +81,6 @@ class LrSettings:
     batch_size: int = 256
     epochs: int = 30
     patience: int = 5
-    grid_tune: bool = False
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -102,8 +101,6 @@ class PipelineConfig:
     beam_width: int = 1
     max_selected: int | None = None
     threads: int = 1
-    gradient_space: str = "probability"
-    inconsistency_mode: str = "scalar"
     granularities: tuple[int, ...] = (10, 100, 1000)
     feasible_cap: int = 20
     dnn: DnnSettings = dataclass_field(default_factory=DnnSettings)
@@ -142,25 +139,12 @@ class PipelineConfig:
             raise ConfigError("threads must be at least 1")
         if self.max_selected is not None and self.max_selected < 0:
             raise ConfigError("max_selected must be non-negative")
-        if self.gradient_space not in ("probability", "logit"):
-            raise ConfigError("gradient_space must be probability or logit")
-        if self.inconsistency_mode not in ("scalar", "elementwise"):
-            raise ConfigError("inconsistency_mode must be scalar or elementwise")
         if self.feasible_cap < 2:
             raise ConfigError("feasible_cap must be at least 2")
         if any(g < 2 for g in self.granularities) or not self.granularities:
             raise ConfigError("granularities must all be at least 2")
         self.dnn.validate()
         self.lr.validate()
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -181,7 +165,6 @@ _READERS = {
     str: str,
     int: int,
     float: float,
-    bool: _parse_bool,
     Path: _parse_path,
     Path | None: lambda text: _parse_path(text) if text else None,
     int | None: lambda text: int(text) if text else None,

@@ -14,7 +14,6 @@ weight array, and a combination never seen in training contributes exactly 0
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 
@@ -27,8 +26,6 @@ from .metrics import auc
 from .network import field_offsets, fit_with_early_stopping, stable_sigmoid
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-LR_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0)
-L2_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0)
 
 
 def _normalize_fields(candidate) -> tuple[int, ...]:
@@ -285,33 +282,3 @@ def train_phase2(
         model.attach_cross(fields, split_keys(uniq, [model.vocab_sizes[f] for f in fields]), w)
     return history
 
-
-def tune_phase1(
-    train_ids: np.ndarray,
-    train_labels: np.ndarray,
-    valid_ids: np.ndarray,
-    valid_labels: np.ndarray,
-    vocab_sizes: list[int],
-    settings: LrSettings | None = None,
-    seed: int = 0,
-    lr_grid: tuple[float, ...] = LR_GRID,
-    l2_grid: tuple[float, ...] = L2_GRID,
-) -> tuple[float, float, float]:
-    """Grid-search learning rate and L2 for phase 1 by validation AUC.
-
-    Returns (learning_rate, l2, auc). Ties keep the earliest grid point, so
-    the result is deterministic for a fixed grid order.
-    """
-    base = settings or LrSettings()
-    best: tuple[float, float, float] | None = None
-    for lr, l2 in itertools.product(lr_grid, l2_grid):
-        trial = dataclasses.replace(base, learning_rate=lr, l2=l2)
-        model = SparseLrModel(vocab_sizes)
-        history = train_phase1(
-            model, train_ids, train_labels, valid_ids, valid_labels, trial, seed
-        )
-        score = max(h["valid_metric"] for h in history)
-        if best is None or score > best[2]:
-            best = (lr, l2, score)
-    assert best is not None
-    return best

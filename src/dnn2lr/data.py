@@ -263,7 +263,8 @@ def load_arrays(path, spec: dict[str, tuple[type, int]]) -> dict[str, np.ndarray
     Every failure is an IngestionError naming the path.
     """
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load leaves a file it opened itself open when the container is damaged
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
     # zipfile's and numpy's errors, those of a decompressor or of the npy header
     # tokenizer that a damaged byte can call up, and TypeError for a bare .npy

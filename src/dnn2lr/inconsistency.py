@@ -8,13 +8,10 @@ for that value. A field whose local and global vectors disagree (projected
 onto the sample's own embedding) is being used non-additively, so it is a
 candidate constituent for a cross feature.
 
-The headline quantity is the inconsistency matrix D of shape (K, n):
+The headline quantity is the inconsistency matrix D of shape (K, n), the
+squared difference of the two interpretation scalars:
 
-    D[k, f] = ( (w_local - w_global) . e )^2          mode="scalar"
-    D[k, f] = sum_j ( (w_local_j - w_global_j) e_j )^2  mode="elementwise"
-
-The scalar reading (squared difference of the two interpretation scalars) is
-the default; the elementwise reading is kept behind a flag.
+    D[k, f] = ( (w_local - w_global) . e )^2
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .network import EmbeddingDnn, field_offsets, sum_rows_into
-
-INCONSISTENCY_MODES = ("scalar", "elementwise")
 
 
 @dataclass
@@ -62,23 +57,13 @@ def expand_global(table: np.ndarray, ids: np.ndarray, vocab_sizes: list[int]) ->
     return table[np.asarray(ids) + field_offsets(vocab_sizes)]
 
 
-def inconsistency_values(
-    local: np.ndarray, global_rows: np.ndarray, emb: np.ndarray, mode: str = "scalar"
-) -> np.ndarray:
+def inconsistency_values(local: np.ndarray, global_rows: np.ndarray, emb: np.ndarray) -> np.ndarray:
     """Combine local weights, per-sample global weights, and embeddings into D."""
-    if mode not in INCONSISTENCY_MODES:
-        raise ConfigError(f"mode must be one of {INCONSISTENCY_MODES}, got {mode!r}")
-    diff = local - global_rows
-    if mode == "scalar":
-        return np.einsum("kfm,kfm->kf", diff, emb) ** 2
-    return np.einsum("kfm,kfm->kf", diff * emb, diff * emb)
+    return np.einsum("kfm,kfm->kf", local - global_rows, emb) ** 2
 
 
 def compute_inconsistency(
-    model: EmbeddingDnn,
-    ids: np.ndarray,
-    space: str = "probability",
-    mode: str = "scalar",
+    model: EmbeddingDnn, ids: np.ndarray, space: str = "probability"
 ) -> InconsistencyResult:
     """Full pipeline step: gradients, per-value means, then D over ``ids``.
 
@@ -91,7 +76,7 @@ def compute_inconsistency(
     global_rows = expand_global(table, ids, model.vocab_sizes)
     m = model.embedding_dim
     emb = model.embed(ids).reshape(ids.shape[0], model.n_fields, m)
-    d = inconsistency_values(local, global_rows, emb, mode=mode)
+    d = inconsistency_values(local, global_rows, emb)
     return InconsistencyResult(d=d)
 
 

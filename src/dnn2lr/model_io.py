@@ -29,7 +29,8 @@ without its crosses. Scoring raw rows encodes them through the vocabulary
 (numerical cells through their bin edges) and sums one vectorized lookup per
 row: ``bias + (fields in index order + crosses in file order)``, added term
 by term. Loading rejects a non-finite weight, a ``cw`` value absent from its
-field's ``w`` lines and a ``cross`` naming an unknown field.
+field's ``w`` lines, a ``cross`` naming an unknown field, ``edges`` for a
+categorical field and a repeated ``bias``, ``edges`` or missing-value ``w``.
 """
 
 from __future__ import annotations
@@ -187,20 +188,27 @@ def load_exported(path) -> ExportedModel:
             return position[unescape(name)]
 
         vocab = Vocabulary([f.name for f in fields])
-        entries = []
+        field_weights = {}
         for lineno, (name, value, weight) in tagged["w"]:
             f = field_of(name)
             fid = MISSING_ID if value == MISSING else vocab.add(f, unescape(value))
-            entries.append((f, fid, _weight(weight)))
+            if (f, fid) in field_weights:  # vocab.add refuses a repeated learned value
+                raise IngestionError(f"second w line for the missing value of {unescape(name)!r}")
+            field_weights[f, fid] = _weight(weight)
         model = SparseLrModel(vocab.sizes())
-        for f, fid, weight in entries:
+        for (f, fid), weight in field_weights.items():
             model.field_weights[f][fid] = weight
         for lineno, (weight,) in tagged["bias"]:
+            if lineno != tagged["bias"][0][0]:
+                raise IngestionError("second bias line")
             model.bias = _weight(weight)
         edges_by_name = {}
         for lineno, (name, granularity, cuts) in tagged["edges"]:
+            f = field_of(name)
+            if fields[f].kind != NUMERICAL or fields[f].name in edges_by_name:
+                raise IngestionError(f"edges for field {fields[f].name!r}: categorical or repeated")
             edges_by_name[unescape(name)] = BinEdges(
-                field=field_of(name),
+                field=f,
                 granularity=int(granularity),
                 cuts=tuple(float(c) for c in cuts.split(",")) if cuts else (),
             )

@@ -12,7 +12,7 @@ artifacts write floats with repr; the .npz array containers hold them exactly.
 Artifact map (inside the work directory)::
 
     ingest       train.csv valid.csv test.csv
-    discretize   encoding.txt encoded_train.npz encoded_valid.npz encoded_test.npz
+    discretize   encoding.txt encoded_train.npz encoded_valid.npz
     train-dnn    dnn.npz dnn_history.csv
     inconsistency  inconsistency_d.npz
     candidates   candidates.tsv
@@ -25,7 +25,6 @@ Artifact map (inside the work directory)::
 from __future__ import annotations
 
 import csv
-import dataclasses
 import zlib
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from . import model_io
 from .candidates import enumerate_candidates, load_candidates, save_candidates, top_epsilon
 from .candidates import read_cross_lines, write_cross_lines
 from .config import PipelineConfig
-from .crosslr import SparseLrModel, split_keys, train_phase1, train_phase2, tune_phase1
+from .crosslr import SparseLrModel, split_keys, train_phase1, train_phase2
 from .data import NUMERICAL, Dataset, RawTable, Vocabulary, load_csv, save_csv, split_table
 from .data import load_arrays, save_arrays
 from .discretize import apply_edges, parse_numeric, select_granularity
@@ -57,7 +56,6 @@ class Workspace:
         self.encoding = self.root / "encoding.txt"
         self.encoded_train = self.root / "encoded_train.npz"
         self.encoded_valid = self.root / "encoded_valid.npz"
-        self.encoded_test = self.root / "encoded_test.npz"
         self.dnn = self.root / "dnn.npz"
         self.dnn_history = self.root / "dnn_history.csv"
         self.inconsistency_d = self.root / "inconsistency_d.npz"
@@ -133,18 +131,17 @@ def stage_ingest(config: PipelineConfig) -> None:
     save_csv(ws.test_csv, test_part, label=config.label)
 
 
-def _load_splits(config: PipelineConfig) -> tuple[RawTable, RawTable, RawTable]:
+def _load_splits(config: PipelineConfig) -> tuple[RawTable, RawTable]:
     ws = Workspace(config.workdir)
-    _require("ingest", ws.train_csv, ws.valid_csv, ws.test_csv)
-    paths = (ws.train_csv, ws.valid_csv, ws.test_csv)
+    _require("ingest", ws.train_csv, ws.valid_csv, ws.test_csv)  # evaluate reads test.csv
+    paths = (ws.train_csv, ws.valid_csv)
     return tuple(load_csv(path, config.fields, config.label) for path in paths)
 
 
 def stage_discretize(config: PipelineConfig) -> None:
-    """Bin numerical fields, build the vocabulary, write encoded id tables."""
+    """Bin numerical fields, build the vocabulary, write the encoded train and valid ids."""
     ws = Workspace(config.workdir)
-    train_part, valid_part, test_part = _load_splits(config)
-    parts = (train_part, valid_part, test_part)
+    train_part, valid_part = parts = _load_splits(config)
     edges_by_name = {}
     for f in config.fields:
         if f.kind != NUMERICAL:
@@ -169,7 +166,6 @@ def stage_discretize(config: PipelineConfig) -> None:
     )
     _write_encoded(ws.encoded_train, vocab.encode_table(train_part))
     _write_encoded(ws.encoded_valid, vocab.encode_table(valid_part))
-    _write_encoded(ws.encoded_test, vocab.encode_table(test_part))
 
 
 def _load_encoding(config: PipelineConfig) -> model_io.ExportedModel:
@@ -218,9 +214,7 @@ def stage_inconsistency(config: PipelineConfig) -> None:
     model = load_model(ws.dnn)
     if model.vocab_sizes != vocab.sizes():
         raise IngestionError(f"{ws.dnn}: network built for another vocabulary")
-    result = compute_inconsistency(
-        model, valid_set.ids, space=config.gradient_space, mode=config.inconsistency_mode
-    )
+    result = compute_inconsistency(model, valid_set.ids)
     _write_matrix(ws.inconsistency_d, result.d)
 
 
@@ -297,20 +291,13 @@ def stage_train_lr(config: PipelineConfig) -> None:
     vocab, train_set, valid_set = _load_encoded(config)
     cands = load_candidates(ws.candidates_tsv, len(config.fields))
     seed = _stage_seed(config, "train-lr")
-    settings = config.lr
-    if settings.grid_tune:
-        learning_rate, l2, _ = tune_phase1(
-            train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, vocab.sizes(),
-            settings, seed,
-        )
-        settings = dataclasses.replace(settings, learning_rate=learning_rate, l2=l2)
     model = SparseLrModel(vocab.sizes())
     train_phase1(
-        model, train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, settings, seed
+        model, train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, config.lr, seed
     )
     train_phase2(
         model, train_set.ids, train_set.labels, valid_set.ids, valid_set.labels, cands,
-        settings, seed,
+        config.lr, seed,
     )
     save_lr_full(ws.lr_full, model)
 

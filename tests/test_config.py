@@ -20,11 +20,10 @@ from dnn2lr.errors import ConfigError
 # show up here too.
 ACCEPTED_KEYS = {
     "label", "data", "workdir", "seed", "eta", "epsilon", "split", "beam_width",
-    "max_selected", "threads", "gradient_space", "inconsistency_mode", "granularities",
-    "feasible_cap",
+    "max_selected", "threads", "granularities", "feasible_cap",
     "dnn.embedding_dim", "dnn.hidden", "dnn.learning_rate", "dnn.l2", "dnn.batch_size",
     "dnn.epochs", "dnn.patience",
-    "lr.learning_rate", "lr.l2", "lr.batch_size", "lr.epochs", "lr.patience", "lr.grid_tune",
+    "lr.learning_rate", "lr.l2", "lr.batch_size", "lr.epochs", "lr.patience",
 }
 
 
@@ -44,7 +43,7 @@ split = 0.7,0.15,0.15
 beam_width = 3
 dnn.hidden = 64,32
 dnn.embedding_dim = 6
-lr.grid_tune = true
+lr.batch_size = 128
 """
 
 
@@ -63,7 +62,7 @@ class TestParsing:
         assert cfg.beam_width == 3
         assert cfg.dnn.hidden == (64, 32)
         assert cfg.dnn.embedding_dim == 6
-        assert cfg.lr.grid_tune is True
+        assert cfg.lr.batch_size == 128
         cfg.validate()
 
     def test_field_order_is_declaration_order(self):
@@ -88,8 +87,7 @@ class TestParsing:
             parse_config_text("seed = seven\n")
         assert "line 1" in str(exc.value)
 
-    @pytest.mark.parametrize("line", ["lr.grid_tune = maybe", "dnn.hidden = 16,x",
-                                      "granularities = 10,,ten"])
+    @pytest.mark.parametrize("line", ["dnn.hidden = 16,x", "granularities = 10,,ten"])
     def test_bool_and_int_tuple_values_name_their_line(self, line):
         with pytest.raises(ConfigError) as exc:
             parse_config_text(f"label = y\n{line}\n", origin="conf")
@@ -128,18 +126,17 @@ class TestParsing:
 class TestKeys:
     def test_exactly_the_known_keys(self):
         assert set(CONFIG_KEYS) == ACCEPTED_KEYS
-        assert len(ACCEPTED_KEYS) == 27
+        assert len(ACCEPTED_KEYS) == 24
 
     def test_every_key_reaches_its_field(self):
         values = {
             "label": "t", "data": "d.csv", "workdir": "w", "seed": "4", "eta": "0.2",
             "epsilon": "7", "split": "0.5,0.25,0.25", "beam_width": "2", "max_selected": "3",
-            "threads": "2", "gradient_space": "logit", "inconsistency_mode": "elementwise",
-            "granularities": "5,50", "feasible_cap": "6",
+            "threads": "2", "granularities": "5,50", "feasible_cap": "6",
             "dnn.embedding_dim": "3", "dnn.hidden": "8,4", "dnn.learning_rate": "0.01",
             "dnn.l2": "0", "dnn.batch_size": "512", "dnn.epochs": "2", "dnn.patience": "1",
             "lr.learning_rate": "0.5", "lr.l2": "0.01", "lr.batch_size": "64",
-            "lr.epochs": "3", "lr.patience": "2", "lr.grid_tune": "yes",
+            "lr.epochs": "3", "lr.patience": "2",
         }
         assert set(values) == ACCEPTED_KEYS
         text = "field.a = categorical\nfield.b = categorical\n"
@@ -151,12 +148,12 @@ class TestKeys:
         assert (cfg.epsilon, cfg.split, cfg.beam_width, cfg.max_selected, cfg.threads) == (
             "7", (0.5, 0.25, 0.25), 2, 3, 2
         )
-        assert (cfg.gradient_space, cfg.inconsistency_mode) == ("logit", "elementwise")
         assert (cfg.granularities, cfg.feasible_cap) == ((5, 50), 6)
         assert cfg.dnn == DnnSettings(3, (8, 4), 0.01, 0.0, 512, 2, 1)
-        assert cfg.lr == LrSettings(0.5, 0.01, 64, 3, 2, True)
+        assert cfg.lr == LrSettings(0.5, 0.01, 64, 3, 2)
 
-    @pytest.mark.parametrize("key", ["dnn.seed", "lr.seed", "fields", "dnn", "lr"])
+    @pytest.mark.parametrize("key", ["dnn.seed", "lr.seed", "fields", "dnn", "lr",
+                                     "gradient_space", "inconsistency_mode", "lr.grid_tune"])
     def test_no_key_beyond_the_fields(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(f"{key} = 1\n")
@@ -235,21 +232,9 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig().validate()
 
-    def test_space_and_mode_whitelists(self):
-        cfg = self.base()
-        cfg.gradient_space = "odds"
-        with pytest.raises(ConfigError):
-            cfg.validate()
-        cfg = self.base()
-        cfg.inconsistency_mode = "l1"
-        with pytest.raises(ConfigError):
-            cfg.validate()
-
     def test_defaults_are_valid(self):
         cfg = self.base()
         cfg.validate()
         assert cfg.eta == 0.05
         assert cfg.epsilon == "3n"
         assert cfg.beam_width == 1
-        assert cfg.gradient_space == "probability"
-        assert cfg.inconsistency_mode == "scalar"

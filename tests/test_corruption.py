@@ -17,8 +17,8 @@ from dnn2lr.cli import main
 from dnn2lr.data import save_csv
 from dnn2lr.synth import generate_planted_cross
 
-# Each container a stage reads, that stage and the files it writes. No stage
-# reads encoded_test.npz back.
+# Each container a stage reads, that stage and the files it writes. That is
+# every container the pipeline writes.
 NEXT_STAGE = {
     "encoded_train.npz": ("train-dnn", ("dnn.npz", "dnn_history.csv")),
     "encoded_valid.npz": ("train-dnn", ("dnn.npz", "dnn_history.csv")),

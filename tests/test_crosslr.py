@@ -13,7 +13,6 @@ from dnn2lr.crosslr import (
     split_keys,
     train_phase1,
     train_phase2,
-    tune_phase1,
 )
 from dnn2lr.config import LrSettings
 from dnn2lr.errors import ConfigError, EncodingError, TrainingError
@@ -232,24 +231,3 @@ class TestPhase2:
         train_phase2(model, tr_ids, tr_y, va_ids, va_y, [cand], LrSettings(epochs=5), seed=9)
         assert model.cross_fields == [(0, 1)]
 
-
-class TestTune:
-    def test_returns_grid_member_and_real_auc(self):
-        rng = np.random.default_rng(11)
-        ids = rng.integers(2, 5, size=(300, 2)).astype(np.int32)
-        y = (ids[:, 1] == 3).astype(np.int8)
-        lr, l2, score = tune_phase1(
-            ids[:200], y[:200], ids[200:], y[200:], [5, 5],
-            LrSettings(epochs=5), lr_grid=(0.01, 0.1), l2_grid=(0.001,)
-        )
-        assert lr in (0.01, 0.1)
-        assert l2 == 0.001
-        assert 0.5 <= score <= 1.0
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(12)
-        ids = rng.integers(2, 5, size=(240, 2)).astype(np.int32)
-        y = rng.integers(0, 2, size=240).astype(np.int8)
-        args = (ids[:160], y[:160], ids[160:], y[160:], [5, 5])
-        kwargs = dict(settings=LrSettings(epochs=3), lr_grid=(0.01, 0.1), l2_grid=(0.01, 0.1))
-        assert tune_phase1(*args, **kwargs) == tune_phase1(*args, **kwargs)

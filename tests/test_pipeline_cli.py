@@ -215,6 +215,16 @@ def duplicate_first_value(path):
 
 F00 = "field\t0\tf00\tcategorical"
 
+# Lines export_model never writes: edges for a categorical field, and a second
+# edges, bias or missing-value w line, which would override the first.
+REPEATED_OR_MISPLACED = {
+    "edges-for-categorical": replace_text(F00, F00 + "\nedges\tf00\t10\t1.0"),
+    "edges-twice": replace_text(F00, F00.replace("categorical", "numerical")
+                                + "\nedges\tf00\t10\t1.0\nedges\tf00\t10\t2.0"),
+    "bias-twice": lambda path: path.write_text(path.read_text() + "bias\t5.0\n"),
+    "missing-w-twice": lambda path: path.write_text(path.read_text() + "w\tf00\t\t1.5\n"),
+}
+
 
 class TestArtifactReaders:
     """Each bad artifact fails the stage reading it with one error line naming the file."""
@@ -260,6 +270,17 @@ class TestArtifactReaders:
         assert len(err.splitlines()) == 1 and err.startswith("error: ingest: ")
         assert name in err
 
+    @pytest.mark.parametrize("corrupt", REPEATED_OR_MISPLACED.values(), ids=REPEATED_OR_MISPLACED)
+    def test_repeated_or_misplaced_line_rejected(self, finished_run, tmp_path, capsys, corrupt):
+        code, err = run_on_copy(finished_run, tmp_path, capsys, "train-lr", "encoding.txt", corrupt)
+        assert code == 1
+        assert_names_the_line(err, tmp_path / "work" / "encoding.txt")
+
+
+def assert_names_the_line(err, path):
+    """Exactly one ``error: ingest: <path>: line N: ...`` line."""
+    assert re.fullmatch(rf"error: ingest: {re.escape(str(path))}: line \d+: [^\n]+\n", err), err
+
 
 @pytest.mark.parametrize(
     "corrupt",
@@ -271,6 +292,16 @@ def test_evaluate_names_the_crosses_of_the_scorecard(finished_run, tmp_path, cap
     code, err = run_on_copy(finished_run, tmp_path, capsys, "evaluate", "selected.tsv", corrupt)
     assert code == 0, err
     assert (tmp_path / "work" / "report.txt").read_bytes() == ws.report.read_bytes()
+
+
+@pytest.mark.parametrize("corrupt", REPEATED_OR_MISPLACED.values(), ids=REPEATED_OR_MISPLACED)
+def test_evaluate_refuses_a_repeated_or_misplaced_line(finished_run, tmp_path, capsys, corrupt):
+    _, _, ws, data_path = finished_run
+    model_path = tmp_path / "model_final.txt"
+    shutil.copy(ws.model_final, model_path)
+    corrupt(model_path)
+    assert main(["evaluate", "--model", str(model_path), "--data", str(data_path)]) == 1
+    assert_names_the_line(capsys.readouterr().err, model_path)
 
 
 def test_lr_full_holds_a_cross_wider_than_int64(tmp_path):
@@ -386,6 +417,7 @@ class TestCli:
     "lr.learning_rate = -1",
     "lr.l2 = inf",
     "split = 0.5,0.5",
+    "lr.grid_tune = true",
 ])
 @pytest.mark.parametrize("command", ["run-all", "ingest", "train-lr"])
 def test_bad_settings_fail_before_any_stage(tmp_path, capsys, command, line):
@@ -396,6 +428,7 @@ def test_bad_settings_fail_before_any_stage(tmp_path, capsys, command, line):
     assert main([command, "--config", str(conf_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(r"^error: config: ", err[0]), err
+    assert line.split()[0] in err[0]
     assert not (tmp_path / "work").exists()
 
 
