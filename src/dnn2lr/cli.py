@@ -15,9 +15,6 @@ from . import pipeline, synth
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, Dnn2LrError
 
-_STAGE_COMMANDS = pipeline.STAGE_ORDER
-
-
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (key = value lines)")
     parser.add_argument("--data", help="raw CSV path, overrides the config")
@@ -45,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_all = sub.add_parser("run-all", help="run every stage in order")
     _add_common_flags(run_all)
 
-    for stage in _STAGE_COMMANDS:
+    for stage in pipeline.STAGES:
         stage_parser = sub.add_parser(stage, help=f"run the {stage} stage")
         if stage == "evaluate":
             stage_parser.add_argument("--model", help="exported model file (standalone mode)")

@@ -1,25 +1,16 @@
 """Staged pipeline: files in a work directory are the inter-stage contract.
 
-Each stage reads the artifacts of earlier stages and writes its own, so a run
-can be resumed or audited per stage. A missing prerequisite fails with
-"missing: <stage>" naming the stage that should have produced it. Re-running
-a stage with unchanged inputs rewrites byte-identical artifacts: every stage
-derives its randomness from the root seed salted with the stage name. Text
-artifacts write floats with repr; the .npz array containers hold them exactly.
-``encoding.txt`` holds the vocabulary and bin edges in the scorecard grammar of
-``model_final.txt`` (see model_io), with every weight 0.0.
-
-Artifact map (inside the work directory)::
-
-    ingest       train.csv valid.csv test.csv
-    discretize   encoding.txt encoded_train.npz encoded_valid.npz
-    train-dnn    dnn.npz dnn_history.csv
-    inconsistency  inconsistency_d.npz
-    candidates   candidates.tsv
-    train-lr     lr_full.npz
-    search       selected.tsv search_log.txt
-    export-model model_final.txt
-    evaluate     report.txt
+``STAGES``, at the end of this module, is the one table of the stages in their
+order, with the files each reads and writes. ``run_stage`` first checks that a
+stage's inputs exist, failing with "missing: <stage>" naming the producer of
+the first absent one. It then deletes the outputs of every later stage, so no
+result built from an older input outlives that input, and only then runs the
+stage. Re-running a stage with unchanged inputs rewrites byte-identical
+artifacts: every stage derives its randomness from the root seed salted with
+the stage name. Text artifacts write floats with repr; the .npz array
+containers hold them exactly. ``encoding.txt`` holds the vocabulary and bin
+edges in the scorecard grammar of ``model_final.txt`` (see model_io), with
+every weight 0.0.
 """
 
 from __future__ import annotations
@@ -27,6 +18,7 @@ from __future__ import annotations
 import csv
 import zlib
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +29,7 @@ from .config import PipelineConfig
 from .crosslr import SparseLrModel, split_keys, train_phase1, train_phase2
 from .data import NUMERICAL, Dataset, RawTable, Vocabulary, load_csv, save_csv, split_table
 from .data import load_arrays, save_arrays
-from .discretize import apply_edges, parse_numeric, select_granularity
+from .discretize import apply_edges, parse_number, parse_numeric, select_granularity
 from .errors import ConfigError, Dnn2LrError, IngestionError, StageError
 from .inconsistency import compute_inconsistency, feasible_matrix
 from .metrics import auc, ks
@@ -46,31 +38,21 @@ from .search import beam_select, precompute_logit_columns
 
 
 class Workspace:
-    """Path bundle for one work directory."""
+    """Path bundle for one work directory: one attribute per file STAGES writes."""
 
     def __init__(self, workdir):
         self.root = Path(workdir)
-        self.train_csv = self.root / "train.csv"
-        self.valid_csv = self.root / "valid.csv"
-        self.test_csv = self.root / "test.csv"
-        self.encoding = self.root / "encoding.txt"
-        self.encoded_train = self.root / "encoded_train.npz"
-        self.encoded_valid = self.root / "encoded_valid.npz"
-        self.dnn = self.root / "dnn.npz"
-        self.dnn_history = self.root / "dnn_history.csv"
-        self.inconsistency_d = self.root / "inconsistency_d.npz"
-        self.candidates_tsv = self.root / "candidates.tsv"
-        self.lr_full = self.root / "lr_full.npz"
-        self.selected_tsv = self.root / "selected.tsv"
-        self.search_log = self.root / "search_log.txt"
-        self.model_final = self.root / "model_final.txt"
-        self.report = self.root / "report.txt"
+        for stage in STAGES.values():
+            for attr, name in stage.writes.items():
+                setattr(self, attr, self.root / name)
 
 
-def _require(stage: str, *paths: Path) -> None:
-    for path in paths:
-        if not path.exists():
-            raise StageError(f"missing: {stage}")
+class Stage(NamedTuple):
+    """One row of STAGES."""
+
+    run: Callable[[PipelineConfig, Workspace], object]
+    reads: tuple[str, ...]  # Workspace attributes, in the order of the stages writing them
+    writes: dict[str, str]  # Workspace attribute -> file name in the work directory
 
 
 def _stage_seed(config: PipelineConfig, stage: str) -> int:
@@ -99,49 +81,52 @@ def _write_matrix(path: Path, d: np.ndarray) -> None:
     save_arrays(path, d=d)
 
 
-def _read_matrix(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """The inconsistency matrix D: finite, non-negative, one row per valid row."""
+def _read_matrix(path: Path, n_fields: int) -> np.ndarray:
+    """The inconsistency matrix D: one column per field, finite, non-negative."""
     d = load_arrays(path, {"d": (np.float64, 2)})["d"]
-    if d.shape != shape or not (np.isfinite(d) & (d >= 0)).all():
-        raise IngestionError(f"{path}: D must be {shape} (the valid split), finite, non-negative")
+    if d.shape[1] != n_fields or not (np.isfinite(d) & (d >= 0)).all():
+        raise IngestionError(f"{path}: D must have {n_fields} columns, finite, non-negative")
     return d
+
+
+def _check_numbers(path, table: RawTable) -> None:
+    """Parse each distinct numerical cell once; a bad one fails naming its file and line."""
+    for f in table.fields:
+        if f.kind != NUMERICAL:
+            continue
+        column = table.column(f.index)
+        for cell in dict.fromkeys(column):
+            try:
+                parse_number(cell, f.name)
+            except IngestionError as err:  # line 1 is the header
+                raise IngestionError(f"{path}: line {column.index(cell) + 2}: {err}") from None
 
 
 # ---------------------------------------------------------------------- #
 # stages
 
 
-def stage_ingest(config: PipelineConfig) -> None:
-    """Load the raw CSV, shuffle, and write the three split files."""
-    ws = Workspace(config.workdir)
+def stage_ingest(config: PipelineConfig, ws: Workspace) -> None:
+    """Load the raw CSV, check its numbers, shuffle, and write the three split files."""
     if config.data is None:
         raise IngestionError("no data file configured (set data = <path> or pass --data)")
     if not Path(config.data).is_file():
         raise IngestionError(f"data file not found or not a file: {config.data}")
     table = load_csv(config.data, config.fields, config.label)
-    train_part, valid_part, test_part = split_table(
-        table, config.split, seed=_stage_seed(config, "ingest")
-    )
+    _check_numbers(config.data, table)
+    parts = split_table(table, config.split, seed=_stage_seed(config, "ingest"))
     try:
         ws.root.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise StageError(f"work directory {ws.root}: {err.strerror}") from None
-    save_csv(ws.train_csv, train_part, label=config.label)
-    save_csv(ws.valid_csv, valid_part, label=config.label)
-    save_csv(ws.test_csv, test_part, label=config.label)
+    for path, part in zip((ws.train_csv, ws.valid_csv, ws.test_csv), parts):
+        save_csv(path, part, label=config.label)
 
 
-def _load_splits(config: PipelineConfig) -> tuple[RawTable, RawTable]:
-    ws = Workspace(config.workdir)
-    _require("ingest", ws.train_csv, ws.valid_csv, ws.test_csv)  # evaluate reads test.csv
-    paths = (ws.train_csv, ws.valid_csv)
-    return tuple(load_csv(path, config.fields, config.label) for path in paths)
-
-
-def stage_discretize(config: PipelineConfig) -> None:
+def stage_discretize(config: PipelineConfig, ws: Workspace) -> None:
     """Bin numerical fields, build the vocabulary, write the encoded train and valid ids."""
-    ws = Workspace(config.workdir)
-    train_part, valid_part = parts = _load_splits(config)
+    paths = (ws.train_csv, ws.valid_csv)
+    train_part, valid_part = parts = [load_csv(p, config.fields, config.label) for p in paths]
     edges_by_name = {}
     for f in config.fields:
         if f.kind != NUMERICAL:
@@ -168,29 +153,23 @@ def stage_discretize(config: PipelineConfig) -> None:
     _write_encoded(ws.encoded_valid, vocab.encode_table(valid_part))
 
 
-def _load_encoding(config: PipelineConfig) -> model_io.ExportedModel:
+def _load_encoding(config: PipelineConfig, ws: Workspace) -> model_io.ExportedModel:
     """The zero-weight scorecard discretize wrote: its vocabulary and bin edges."""
-    ws = Workspace(config.workdir)
-    _require("discretize", ws.encoding)
     encoding = model_io.load_exported(ws.encoding)
     if encoding.fields != sorted(config.fields, key=lambda f: f.index):
         raise IngestionError(f"{ws.encoding}: written for another schema")
     return encoding
 
 
-def _load_encoded(config: PipelineConfig) -> tuple[Vocabulary, Dataset, Dataset]:
-    """The vocabulary, and the train and valid splits checked against it."""
-    ws = Workspace(config.workdir)
-    _require("discretize", ws.encoded_train, ws.encoded_valid)
-    vocab = _load_encoding(config).vocab
-    train = _read_encoded(ws.encoded_train, vocab.sizes())
-    return vocab, train, _read_encoded(ws.encoded_valid, vocab.sizes())
+def _load_encoded(config: PipelineConfig, ws: Workspace, *paths: Path) -> tuple:
+    """The vocabulary, then each encoded split of ``paths`` checked against it."""
+    vocab = _load_encoding(config, ws).vocab
+    return vocab, *(_read_encoded(path, vocab.sizes()) for path in paths)
 
 
-def stage_train_dnn(config: PipelineConfig) -> None:
+def stage_train_dnn(config: PipelineConfig, ws: Workspace) -> None:
     """Fit the embedding network and persist it with its training history."""
-    ws = Workspace(config.workdir)
-    vocab, train_set, valid_set = _load_encoded(config)
+    vocab, train_set, valid_set = _load_encoded(config, ws, ws.encoded_train, ws.encoded_valid)
     seed = _stage_seed(config, "train-dnn")
     model = EmbeddingDnn(
         vocab.sizes(), config.dnn.embedding_dim, config.dnn.hidden, output="sigmoid", seed=seed
@@ -206,11 +185,9 @@ def stage_train_dnn(config: PipelineConfig) -> None:
             writer.writerow([row["epoch"], repr(row["train_loss"]), repr(row["valid_metric"])])
 
 
-def stage_inconsistency(config: PipelineConfig) -> None:
+def stage_inconsistency(config: PipelineConfig, ws: Workspace) -> None:
     """Compute the inconsistency matrix D on the validation split."""
-    ws = Workspace(config.workdir)
-    _require("train-dnn", ws.dnn)
-    vocab, _, valid_set = _load_encoded(config)
+    vocab, valid_set = _load_encoded(config, ws, ws.encoded_valid)
     model = load_model(ws.dnn)
     if model.vocab_sizes != vocab.sizes():
         raise IngestionError(f"{ws.dnn}: network built for another vocabulary")
@@ -218,12 +195,9 @@ def stage_inconsistency(config: PipelineConfig) -> None:
     _write_matrix(ws.inconsistency_d, result.d)
 
 
-def stage_candidates(config: PipelineConfig) -> None:
+def stage_candidates(config: PipelineConfig, ws: Workspace) -> None:
     """Mark the top-eta of D feasible, count co-occurrences, keep the top epsilon."""
-    ws = Workspace(config.workdir)
-    _require("inconsistency", ws.inconsistency_d)
-    _, _, valid_set = _load_encoded(config)
-    d = _read_matrix(ws.inconsistency_d, valid_set.ids.shape)
+    d = _read_matrix(ws.inconsistency_d, len(config.fields))
     feasible = feasible_matrix(d, config.eta)
     counts = enumerate_candidates(feasible, d, field_cap=config.feasible_cap)
     top = top_epsilon(counts, config.resolve_epsilon(len(config.fields)))
@@ -284,11 +258,9 @@ def load_lr_full(path, vocab_sizes: list[int]) -> SparseLrModel:
     return model
 
 
-def stage_train_lr(config: PipelineConfig) -> None:
+def stage_train_lr(config: PipelineConfig, ws: Workspace) -> None:
     """Two-phase logistic regression over originals plus candidate crosses."""
-    ws = Workspace(config.workdir)
-    _require("candidates", ws.candidates_tsv)
-    vocab, train_set, valid_set = _load_encoded(config)
+    vocab, train_set, valid_set = _load_encoded(config, ws, ws.encoded_train, ws.encoded_valid)
     cands = load_candidates(ws.candidates_tsv, len(config.fields))
     seed = _stage_seed(config, "train-lr")
     model = SparseLrModel(vocab.sizes())
@@ -302,11 +274,9 @@ def stage_train_lr(config: PipelineConfig) -> None:
     save_lr_full(ws.lr_full, model)
 
 
-def stage_search(config: PipelineConfig) -> None:
+def stage_search(config: PipelineConfig, ws: Workspace) -> None:
     """Select cross features on the validation split; log every step."""
-    ws = Workspace(config.workdir)
-    _require("train-lr", ws.lr_full)
-    vocab, _, valid_set = _load_encoded(config)
+    vocab, valid_set = _load_encoded(config, ws, ws.encoded_valid)
     model = load_lr_full(ws.lr_full, vocab.sizes())
     base, columns = precompute_logit_columns(model, valid_set.ids)
     result = beam_select(
@@ -335,12 +305,9 @@ def load_selected(path, n_fields: int) -> list[tuple[int, ...]]:
     return [fields for fields, _ in read_cross_lines(path, n_fields, float)]
 
 
-def stage_export_model(config: PipelineConfig) -> None:
+def stage_export_model(config: PipelineConfig, ws: Workspace) -> None:
     """Write the deployable white-box model with selected crosses only."""
-    ws = Workspace(config.workdir)
-    _require("search", ws.selected_tsv)
-    _require("train-lr", ws.lr_full)
-    encoding = _load_encoding(config)
+    encoding = _load_encoding(config, ws)
     model = load_lr_full(ws.lr_full, encoding.vocab.sizes())
     selected = load_selected(ws.selected_tsv, len(config.fields))
     model_io.export_model(
@@ -348,25 +315,31 @@ def stage_export_model(config: PipelineConfig) -> None:
     )
 
 
+def _scores(exported: model_io.ExportedModel, path, table: RawTable, include_cross=True):
+    """score_rows; a numerical cell it cannot parse is reported with its file and line."""
+    try:
+        return exported.score_rows(table.rows, include_cross=include_cross)
+    except IngestionError:
+        _check_numbers(path, table)
+        raise
+
+
 def evaluate_model(model_path, data_path, label: str = "y") -> dict:
     """Score a raw CSV with an exported model; schema comes from the model."""
     exported = model_io.load_exported(model_path)
     table = load_csv(data_path, exported.fields, label)
-    scores = exported.score_rows(table.rows)
+    scores = _scores(exported, data_path, table)
     labels = np.asarray(table.labels)
     return {"auc": auc(labels, scores), "ks": ks(labels, scores)}
 
 
-def stage_evaluate(config: PipelineConfig) -> dict:
+def stage_evaluate(config: PipelineConfig, ws: Workspace) -> dict:
     """Test-split metrics for the final model and its plain-LR ablation."""
-    ws = Workspace(config.workdir)
-    _require("export-model", ws.model_final)
-    _require("ingest", ws.test_csv)
     exported = model_io.load_exported(ws.model_final)
     table = load_csv(ws.test_csv, config.fields, config.label)
     labels = np.asarray(table.labels)
-    plain_scores = exported.score_rows(table.rows, include_cross=False)
-    final_scores = exported.score_rows(table.rows, include_cross=True)
+    plain_scores = _scores(exported, ws.test_csv, table, include_cross=False)
+    final_scores = _scores(exported, ws.test_csv, table)
     names = [f.name for f in exported.fields]
     selected = ";".join(
         "*".join(names[i] for i in fields) for fields in exported.model.cross_fields
@@ -390,37 +363,56 @@ def render_report(report: dict) -> str:
     )
 
 
+# The one account of which stage reads and writes which file. Every read is
+# written by an earlier stage; the stage functions look up their readers and
+# writers when called, so they can be replaced on this module.
 STAGES = {
-    "ingest": stage_ingest,
-    "discretize": stage_discretize,
-    "train-dnn": stage_train_dnn,
-    "inconsistency": stage_inconsistency,
-    "candidates": stage_candidates,
-    "train-lr": stage_train_lr,
-    "search": stage_search,
-    "export-model": stage_export_model,
-    "evaluate": stage_evaluate,
+    "ingest": Stage(stage_ingest, (),
+                    dict(train_csv="train.csv", valid_csv="valid.csv", test_csv="test.csv")),
+    "discretize": Stage(stage_discretize, ("train_csv", "valid_csv"),
+                        dict(encoding="encoding.txt", encoded_train="encoded_train.npz",
+                             encoded_valid="encoded_valid.npz")),
+    "train-dnn": Stage(stage_train_dnn, ("encoding", "encoded_train", "encoded_valid"),
+                       dict(dnn="dnn.npz", dnn_history="dnn_history.csv")),
+    "inconsistency": Stage(stage_inconsistency, ("encoding", "encoded_valid", "dnn"),
+                           dict(inconsistency_d="inconsistency_d.npz")),
+    "candidates": Stage(stage_candidates, ("inconsistency_d",),
+                        dict(candidates_tsv="candidates.tsv")),
+    "train-lr": Stage(stage_train_lr,
+                      ("encoding", "encoded_train", "encoded_valid", "candidates_tsv"),
+                      dict(lr_full="lr_full.npz")),
+    "search": Stage(stage_search, ("encoding", "encoded_valid", "lr_full"),
+                    dict(selected_tsv="selected.tsv", search_log="search_log.txt")),
+    "export-model": Stage(stage_export_model, ("encoding", "lr_full", "selected_tsv"),
+                          dict(model_final="model_final.txt")),
+    "evaluate": Stage(stage_evaluate, ("test_csv", "model_final"), dict(report="report.txt")),
 }
 
 STAGE_ORDER = list(STAGES)
 
 
 def run_stage(config: PipelineConfig, stage: str):
+    """Check the stage's inputs, delete every later stage's outputs, then run it."""
     if stage not in STAGES:
         raise StageError(f"unknown stage {stage!r}")
     config.validate()
-    return STAGES[stage](config)
+    ws = Workspace(config.workdir)
+    for attr in STAGES[stage].reads:
+        if not getattr(ws, attr).exists():
+            raise StageError(f"missing: {next(s for s in STAGES if attr in STAGES[s].writes)}")
+    later = STAGE_ORDER[STAGE_ORDER.index(stage) + 1 :]
+    for path in (getattr(ws, attr) for s in later for attr in STAGES[s].writes):
+        if path.exists():
+            path.unlink()
+    return STAGES[stage].run(config, ws)
 
 
 def run_all(config: PipelineConfig) -> dict:
-    """Run every stage in order; equivalent to running them one by one."""
-    config.validate()
-    report: dict = {}
+    """Run every stage in order; returns evaluate's report."""
+    config.validate()  # a bad setting is a config error, not a failed stage
     for stage in STAGE_ORDER:
         try:
-            result = STAGES[stage](config)
+            report = run_stage(config, stage)
         except Dnn2LrError as err:
             raise StageError(f"stage {stage} failed: {err}") from err
-        if stage == "evaluate":
-            report = result
     return report

@@ -15,17 +15,23 @@ from hypothesis import strategies as st
 
 from dnn2lr.cli import main
 from dnn2lr.data import save_csv
+from dnn2lr.pipeline import STAGES
 from dnn2lr.synth import generate_planted_cross
 
-# Each container a stage reads, that stage and the files it writes. That is
-# every container the pipeline writes.
-NEXT_STAGE = {
-    "encoded_train.npz": ("train-dnn", ("dnn.npz", "dnn_history.csv")),
-    "encoded_valid.npz": ("train-dnn", ("dnn.npz", "dnn_history.csv")),
-    "dnn.npz": ("inconsistency", ("inconsistency_d.npz",)),
-    "inconsistency_d.npz": ("candidates", ("candidates.tsv",)),
-    "lr_full.npz": ("search", ("selected.tsv", "search_log.txt")),
-}
+FILES = {attr: name for stage in STAGES.values() for attr, name in stage.writes.items()}
+
+
+def next_stages() -> dict[str, tuple[str, tuple[str, ...]]]:
+    """Each container a stage reads -> the first stage reading it and the files it writes."""
+    out: dict[str, tuple[str, tuple[str, ...]]] = {}
+    for name, stage in STAGES.items():
+        for attr in stage.reads:
+            if FILES[attr].endswith(".npz"):
+                out.setdefault(FILES[attr], (name, tuple(stage.writes.values())))
+    return out
+
+
+NEXT_STAGE = next_stages()
 ERROR_LINE = re.compile(r"^error: [a-z]+: ")
 
 
@@ -89,6 +95,10 @@ def corrupt(data, path: Path, other: Path) -> None:
         np.savez(path, **arrays)
     else:
         shutil.copyfile(other / path.name, path)
+
+
+def test_every_container_the_pipeline_writes_is_damaged():
+    assert sorted(NEXT_STAGE) == sorted(n for n in FILES.values() if n.endswith(".npz"))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -18,6 +18,7 @@ from dnn2lr.errors import StageError
 from dnn2lr.model_io import load_exported
 from dnn2lr.pipeline import (
     STAGE_ORDER,
+    STAGES,
     Workspace,
     evaluate_model,
     load_lr_full,
@@ -25,7 +26,6 @@ from dnn2lr.pipeline import (
     run_all,
     run_stage,
     save_lr_full,
-    stage_search,
 )
 from dnn2lr.synth import generate_planted_cross
 
@@ -83,14 +83,21 @@ def artifact_paths(ws):
     return [path for name, path in vars(ws).items() if name != "root"]
 
 
-def run_on_copy(finished_run, tmp_path, capsys, stage, name, corrupt):
-    """Run one stage through the CLI on a copy of the finished run with one file changed."""
+FILES = {attr: name for stage in STAGES.values() for attr, name in stage.writes.items()}
+PRODUCER = {attr: name for name, stage in STAGES.items() for attr in stage.writes}
+
+
+def run_on_copy(finished_run, tmp_path, capsys, stage, name, corrupt, *flags):
+    """Run one stage through the CLI on a copy of the finished run with one file changed.
+
+    ``name`` "." hands ``corrupt`` the work directory itself.
+    """
     _, _, ws, data_path = finished_run
     shutil.copytree(ws.root, tmp_path / "work")
     corrupt(tmp_path / "work" / name)
     conf_path = tmp_path / "run.conf"
     conf_path.write_text(make_config_text(data_path, tmp_path / "work"))
-    code = main([stage, "--config", str(conf_path)])
+    code = main([stage, "--config", str(conf_path), *flags])
     return code, capsys.readouterr().err
 
 
@@ -99,12 +106,17 @@ class TestRunAll:
         _, _, ws, _ = finished_run
         assert set(ws.root.iterdir()) == set(artifact_paths(ws))
 
-    def test_readme_stage_table_names_every_artifact(self, tmp_path):
+    def test_readme_stage_table_names_every_artifact(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = [line.split("|") for line in readme.splitlines() if line.startswith("| `")]
-        listed = [name for row in rows for name in re.findall(r"`([^`]+)`", row[2])]
-        assert [row[1].strip(" `") for row in rows] == STAGE_ORDER
-        assert sorted(listed) == sorted(p.name for p in artifact_paths(Workspace(tmp_path)))
+        listed = [
+            (row[1].strip(" `"), re.findall(r"`([^`]+)`", row[2]), re.findall(r"`([^`]+)`", row[3]))
+            for row in rows
+        ]
+        assert listed == [
+            (name, [FILES[attr] for attr in stage.reads], list(stage.writes.values()))
+            for name, stage in STAGES.items()
+        ]
 
     def test_report_contents(self, finished_run):
         _, report, ws, _ = finished_run
@@ -326,8 +338,8 @@ class TestStageGuards:
         write_planted_csv(data_path, k=400)
         config = make_config(data_path, tmp_path / "work")
         with pytest.raises(StageError) as exc:
-            stage_search(config)
-        assert "missing" in str(exc.value)
+            run_stage(config, "search")
+        assert str(exc.value) == "missing: discretize"  # the earliest stage to run
 
     def test_unknown_stage(self, tmp_path):
         config = make_config(tmp_path / "x.csv", tmp_path / "w")
@@ -339,6 +351,94 @@ class TestStageGuards:
         with pytest.raises(StageError) as exc:
             run_all(config)
         assert "stage ingest failed" in str(exc.value)
+
+
+# Each stage with each stage whose files it reads.
+READ_FROM = [
+    (name, producer)
+    for name, stage in STAGES.items()
+    for producer in dict.fromkeys(PRODUCER[attr] for attr in stage.reads)
+]
+
+
+class TestStageTable:
+    def test_every_read_is_written_by_an_earlier_stage_in_order(self):
+        assert len(set(FILES.values())) == len(FILES)
+        for i, stage in enumerate(STAGES.values()):
+            producers = [STAGE_ORDER.index(PRODUCER[attr]) for attr in stage.reads]
+            assert producers == sorted(producers) and all(p < i for p in producers)
+
+    @pytest.mark.parametrize("stage, producer", READ_FROM, ids=[f"{s}-{p}" for s, p in READ_FROM])
+    def test_missing_input_names_its_producer(
+        self, finished_run, tmp_path, capsys, stage, producer
+    ):
+        def drop(work):
+            for name in STAGES[producer].writes.values():
+                (work / name).unlink()
+
+        code, err = run_on_copy(finished_run, tmp_path, capsys, stage, ".", drop)
+        assert code == 1
+        assert err == f"error: pipeline: missing: {producer}\n"
+
+    @pytest.mark.parametrize("stage", STAGE_ORDER)
+    def test_rerun_keeps_earlier_files_and_deletes_only_later_outputs(
+        self, finished_run, tmp_path, capsys, stage
+    ):
+        _, _, ws, _ = finished_run
+        code, err = run_on_copy(
+            finished_run, tmp_path, capsys, stage, "notes.txt", lambda path: path.write_text("x")
+        )
+        assert code == 0, err
+        work = tmp_path / "work"
+        assert (work / "notes.txt").read_text() == "x"
+        later = STAGE_ORDER[STAGE_ORDER.index(stage) + 1 :]
+        dropped = {name for s in later for name in STAGES[s].writes.values()}
+        kept = {path.name for path in ws.root.iterdir()} - dropped
+        assert {path.name for path in work.iterdir()} == kept | {"notes.txt"}
+        for name in kept:
+            assert (work / name).read_bytes() == (ws.root / name).read_bytes(), name
+
+    def test_rerun_candidates_leaves_no_stale_model(self, finished_run, tmp_path, capsys):
+        """Search and export-model refuse the lr_full.npz built from the old candidates."""
+        flags = ("--eta", "0.05", "--epsilon", "2")
+        code, err = run_on_copy(
+            finished_run, tmp_path, capsys, "candidates", ".", lambda work: None, *flags
+        )
+        assert code == 0, err
+        for stage in ("search", "export-model"):
+            assert main([stage, "--config", str(tmp_path / "run.conf")]) == 1
+            assert capsys.readouterr().err == "error: pipeline: missing: train-lr\n"
+
+
+def write_numeric_csv(path, bad_row):
+    """Sixty rows of a numerical age and a categorical city; ``abc`` in one age cell."""
+    rows = [f"{'abc' if i == bad_row else i},c{i % 3},{i % 2}\n" for i in range(60)]
+    path.write_text("age,city,y\n" + "".join(rows))
+
+
+def test_unparseable_number_fails_ingest_naming_file_and_line(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_numeric_csv(data, bad_row=40)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"label = y\nfield.age = numerical\nfield.city = categorical\n"
+                    f"data = {data}\nworkdir = {tmp_path / 'work'}\n")
+    message = f"{data}: line 42: age: cannot parse 'abc' as a number"
+    assert main(["ingest", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == f"error: ingest: {message}\n"
+    assert main(["run-all", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == f"error: pipeline: stage ingest failed: {message}\n"
+    assert not (tmp_path / "work").exists()
+
+
+def test_evaluate_names_the_file_and_line_of_an_unparseable_number(tmp_path, capsys):
+    model = tmp_path / "m.txt"
+    model.write_text("bias\t0.0\nfield\t0\tage\tnumerical\nfield\t1\tcity\tcategorical\n"
+                     "edges\tage\t10\t30.0\nw\tage\tb0\t-1.0\nw\tage\tb1\t1.0\n")
+    data = tmp_path / "d.csv"
+    write_numeric_csv(data, bad_row=7)
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ingest: {data}: line 9: age: cannot parse 'abc' as a number\n"
 
 
 def run_cli(*argv, cwd=None):
