@@ -12,6 +12,8 @@ import re
 import tokenize
 import zipfile
 import zlib
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,7 @@ class RawTable:
     fields: list[FieldSchema]
     rows: list[list[str]]
     labels: list[int]
+    lines: Sequence[int] = ()  # each row's first line in the file it was read from
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -112,7 +115,9 @@ def load_csv(path, fields: list[FieldSchema], label: str) -> RawTable:
     field_pos = [positions[f.name] for f in ordered]
     rows: list[list[str]] = []
     labels: list[int] = []
-    for lineno, cells in enumerate(reader, start=2):
+    lines = array("q")  # 8 bytes a row: no int object is kept per row
+    lineno = reader.line_num + 1  # a quoted cell can span lines: count the file's own
+    for cells in reader:
         if len(cells) != len(header):
             raise IngestionError(
                 f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
@@ -122,7 +127,9 @@ def load_csv(path, fields: list[FieldSchema], label: str) -> RawTable:
             raise LabelError(f"{path}: line {lineno}: label must be 0 or 1, got {raw!r}")
         labels.append(int(raw))
         rows.append([cells[p] for p in field_pos])
-    return RawTable(fields=list(ordered), rows=rows, labels=labels)
+        lines.append(lineno)
+        lineno = reader.line_num + 1
+    return RawTable(fields=list(ordered), rows=rows, labels=labels, lines=lines)
 
 
 def save_csv(path, table: RawTable, label: str = "y") -> None:

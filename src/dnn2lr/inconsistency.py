@@ -32,6 +32,9 @@ class InconsistencyResult:
     d: np.ndarray  # (K, n) inconsistency values
 
 
+CHUNK_ROWS = 4096  # rows of D computed together
+
+
 def global_weight_table(
     local: np.ndarray, ids: np.ndarray, vocab_sizes: list[int]
 ) -> np.ndarray:
@@ -39,8 +42,8 @@ def global_weight_table(
 
     The fields' rows are stacked as in the network's embedding table: field
     f's value v sits at row ``field_offsets(vocab_sizes)[f] + v``. Values that
-    never occur in ``ids`` keep a zero row; they are never looked up by
-    expand_global, so the zeros are inert placeholders.
+    never occur in ``ids`` keep a zero row; no sample looks them up, so the
+    zeros are inert placeholders.
     """
     m = local.shape[2]
     rows = (np.asarray(ids) + field_offsets(vocab_sizes)).ravel()
@@ -52,31 +55,24 @@ def global_weight_table(
     return sums
 
 
-def expand_global(table: np.ndarray, ids: np.ndarray, vocab_sizes: list[int]) -> np.ndarray:
-    """Look the per-value means back up per sample: (K, n, m)."""
-    return table[np.asarray(ids) + field_offsets(vocab_sizes)]
-
-
-def inconsistency_values(local: np.ndarray, global_rows: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Combine local weights, per-sample global weights, and embeddings into D."""
-    return np.einsum("kfm,kfm->kf", local - global_rows, emb) ** 2
-
-
 def compute_inconsistency(
     model: EmbeddingDnn, ids: np.ndarray, space: str = "probability"
 ) -> InconsistencyResult:
     """Full pipeline step: gradients, per-value means, then D over ``ids``.
 
     ``ids`` should be the validation split; the averages that define the
-    global weights are taken over exactly the rows passed in.
+    global weights are taken over exactly the rows passed in. D is filled
+    CHUNK_ROWS rows at a time, so the per-sample global weights and
+    embeddings never exist for all rows at once.
     """
     ids = np.asarray(ids)
     local = model.embedding_gradients(ids, space=space)
     table = global_weight_table(local, ids, model.vocab_sizes)
-    global_rows = expand_global(table, ids, model.vocab_sizes)
-    m = model.embedding_dim
-    emb = model.embed(ids).reshape(ids.shape[0], model.n_fields, m)
-    d = inconsistency_values(local, global_rows, emb)
+    d = np.empty(ids.shape, dtype=np.float64)
+    for start in range(0, ids.shape[0], CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        gap = local[rows] - table[ids[rows] + model.offsets]
+        d[rows] = np.einsum("kfm,kfm->kf", gap, model.embed(ids[rows]).reshape(gap.shape)) ** 2
     return InconsistencyResult(d=d)
 
 
@@ -89,12 +85,9 @@ def feasible_matrix(d: np.ndarray, eta: float) -> np.ndarray:
     if not 0.0 < eta < 1.0:
         raise ConfigError(f"eta must lie strictly between 0 and 1, got {eta}")
     d = np.asarray(d, dtype=np.float64)
-    total = d.size
-    if total == 0:
+    if d.size == 0:
         raise ConfigError("empty inconsistency matrix")
     # The 1e-9 nudge keeps ceil() honest when eta * N is an exact integer
     # that float arithmetic lands a hair above (0.05 * 80000 -> 4000.0000...05).
-    count = max(1, math.ceil(eta * total - 1e-9))
-    flat = d.ravel()
-    cut = np.partition(flat, total - count)[total - count]
-    return d >= cut
+    at = d.size - max(1, math.ceil(eta * d.size - 1e-9))  # the cut's place in ascending order
+    return d >= np.partition(d.ravel(), at)[at]

@@ -146,9 +146,13 @@ class ExportedModel:
     def logits(self, rows: list[list[str]], include_cross: bool = True) -> np.ndarray:
         return self._scorers[include_cross].logits(self.encode(rows))
 
+    def score_ids(self, ids: np.ndarray, include_cross: bool = True) -> np.ndarray:
+        """Probabilities for rows already encoded by ``encode``."""
+        return stable_sigmoid(self._scorers[include_cross].logits(ids))
+
     def score_rows(self, rows: list[list[str]], include_cross: bool = True) -> np.ndarray:
         """Probabilities for raw rows ordered by the model's own schema."""
-        return stable_sigmoid(self.logits(rows, include_cross=include_cross))
+        return self.score_ids(self.encode(rows), include_cross)
 
 
 _ARITY = {"bias": 2, "field": 4, "edges": 4, "w": 4, "cross": 2, "cw": 4}

@@ -158,12 +158,9 @@ class EmbeddingDnn:
     def forward(self, ids: np.ndarray, batch_size: int = 8192) -> np.ndarray:
         """Model output per row: probabilities in (0, 1), or raw regression values."""
         ids = self._check_ids(ids)
-        chunks = []
-        for start in range(0, ids.shape[0], batch_size):
-            chunks.append(self._forward_cache(self.embed(ids[start : start + batch_size]))[0])
-        if not chunks:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(chunks)
+        starts = range(0, ids.shape[0], batch_size)
+        chunks = [self._forward_cache(self.embed(ids[s : s + batch_size]))[0] for s in starts]
+        return np.concatenate([np.empty(0, dtype=np.float64), *chunks])
 
     # ------------------------------------------------------------------ #
     # gradients
@@ -180,23 +177,13 @@ class EmbeddingDnn:
         if space not in GRADIENT_SPACES:
             raise ConfigError(f"gradient space must be one of {GRADIENT_SPACES}, got {space!r}")
         ids = self._check_ids(ids)
-        total = ids.shape[0]
-        out = np.empty((total, self.n_fields, self.embedding_dim), dtype=np.float64)
-        for start in range(0, total, batch_size):
-            part = ids[start : start + batch_size]
-            y_hat, pre, _ = self._forward_cache(self.embed(part))
-            if self.output == OUTPUT_SIGMOID and space == "probability":
-                delta = (y_hat * (1.0 - y_hat))[:, None]
-            else:
-                delta = np.ones((part.shape[0], 1), dtype=np.float64)
-            for i in range(len(self.weights) - 1, 0, -1):
-                delta = delta @ self.weights[i].T
-                delta *= pre[i - 1] > 0
-            dx = delta @ self.weights[0].T
-            out[start : start + part.shape[0]] = dx.reshape(
-                part.shape[0], self.n_fields, self.embedding_dim
-            )
-        return out
+        slope = self.output == OUTPUT_SIGMOID and space == "probability"
+        out = np.empty((ids.shape[0], self.input_dim), dtype=np.float64)
+        for start in range(0, ids.shape[0], batch_size):
+            y_hat, pre, _ = self._forward_cache(self.embed(ids[start : start + batch_size]))
+            delta = (y_hat * (1.0 - y_hat) if slope else np.ones_like(y_hat))[:, None]
+            out[start : start + batch_size] = _backward(self, delta, pre)
+        return out.reshape(*ids.shape, self.embedding_dim)
 
 
 def field_offsets(vocab_sizes: list[int]) -> np.ndarray:
@@ -227,14 +214,25 @@ def _batch_gradients(model: EmbeddingDnn, ids: np.ndarray, y: np.ndarray):
         delta = (2.0 * diff / k)[:, None]
     grad = np.empty_like(model.theta)
     grad_table, grads_w, grads_b = model.unflatten(grad)
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i][...] = post[i].T @ delta
-        grads_b[i][...] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
-    dx = (delta @ model.weights[0].T).reshape(-1, model.embedding_dim)
+    dx = _backward(model, delta, pre, post, grads_w, grads_b).reshape(-1, model.embedding_dim)
     sum_rows_into(grad_table, (np.asarray(ids) + model.offsets).ravel(), dx)
     return loss, grad
+
+
+def _backward(model: EmbeddingDnn, delta, pre, post=None, grads_w=None, grads_b=None):
+    """Carry delta, d(target)/d(output logit) as (B, 1), down to the embedded rows: (B, n*m).
+
+    ``pre`` and ``post`` come from _forward_cache; each layer's weight and
+    bias gradient is written into ``grads_w`` and ``grads_b`` if they are given.
+    """
+    for i in range(len(model.weights) - 1, -1, -1):
+        if grads_w is not None:
+            grads_w[i][...] = post[i].T @ delta
+            grads_b[i][...] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ model.weights[i].T
+            delta *= pre[i - 1] > 0  # in place: one (B, width) array per layer
+    return delta @ model.weights[0].T
 
 
 def fit_with_early_stopping(

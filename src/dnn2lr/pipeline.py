@@ -98,8 +98,9 @@ def _check_numbers(path, table: RawTable) -> None:
         for cell in dict.fromkeys(column):
             try:
                 parse_number(cell, f.name)
-            except IngestionError as err:  # line 1 is the header
-                raise IngestionError(f"{path}: line {column.index(cell) + 2}: {err}") from None
+            except IngestionError as err:
+                line = table.lines[column.index(cell)]
+                raise IngestionError(f"{path}: line {line}: {err}") from None
 
 
 # ---------------------------------------------------------------------- #
@@ -279,18 +280,11 @@ def stage_search(config: PipelineConfig, ws: Workspace) -> None:
     vocab, valid_set = _load_encoded(config, ws, ws.encoded_valid)
     model = load_lr_full(ws.lr_full, vocab.sizes())
     base, columns = precompute_logit_columns(model, valid_set.ids)
-    result = beam_select(
-        base,
-        columns,
-        valid_set.labels,
-        width=config.beam_width,
-        max_selected=config.max_selected,
-        threads=config.threads,
-    )
+    result = beam_select(base, columns, valid_set.labels, width=config.beam_width,
+                         max_selected=config.max_selected, threads=config.threads)
     names = [f.name for f in config.fields]
-    write_cross_lines(
-        ws.selected_tsv, [(model.cross_fields[step.candidate], step.auc) for step in result.steps]
-    )
+    picks = [(model.cross_fields[step.candidate], step.auc) for step in result.steps]
+    write_cross_lines(ws.selected_tsv, picks)
     with open(ws.search_log, "w", encoding="utf-8") as handle:
         handle.write(f"base_auc = {result.base_auc!r}\n")
         for i, step in enumerate(result.steps, start=1):
@@ -315,31 +309,31 @@ def stage_export_model(config: PipelineConfig, ws: Workspace) -> None:
     )
 
 
-def _scores(exported: model_io.ExportedModel, path, table: RawTable, include_cross=True):
-    """score_rows; a numerical cell it cannot parse is reported with its file and line."""
+def _encode_csv(exported: model_io.ExportedModel, path, fields, label: str) -> tuple:
+    """A CSV's labels and rows encoded for ``exported``; a bad number names its file and line."""
+    table = load_csv(path, fields, label)
     try:
-        return exported.score_rows(table.rows, include_cross=include_cross)
+        ids = exported.encode(table.rows)
     except IngestionError:
         _check_numbers(path, table)
         raise
+    return np.asarray(table.labels), ids
 
 
 def evaluate_model(model_path, data_path, label: str = "y") -> dict:
     """Score a raw CSV with an exported model; schema comes from the model."""
     exported = model_io.load_exported(model_path)
-    table = load_csv(data_path, exported.fields, label)
-    scores = _scores(exported, data_path, table)
-    labels = np.asarray(table.labels)
+    labels, ids = _encode_csv(exported, data_path, exported.fields, label)
+    scores = exported.score_ids(ids)
     return {"auc": auc(labels, scores), "ks": ks(labels, scores)}
 
 
 def stage_evaluate(config: PipelineConfig, ws: Workspace) -> dict:
     """Test-split metrics for the final model and its plain-LR ablation."""
     exported = model_io.load_exported(ws.model_final)
-    table = load_csv(ws.test_csv, config.fields, config.label)
-    labels = np.asarray(table.labels)
-    plain_scores = _scores(exported, ws.test_csv, table, include_cross=False)
-    final_scores = _scores(exported, ws.test_csv, table)
+    labels, ids = _encode_csv(exported, ws.test_csv, config.fields, config.label)
+    plain_scores = exported.score_ids(ids, include_cross=False)
+    final_scores = exported.score_ids(ids)
     names = [f.name for f in exported.fields]
     selected = ";".join(
         "*".join(names[i] for i in fields) for fields in exported.model.cross_fields

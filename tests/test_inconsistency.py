@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,14 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnn2lr.errors import ConfigError
-from dnn2lr.inconsistency import (
-    compute_inconsistency,
-    expand_global,
-    feasible_matrix,
-    global_weight_table,
-    inconsistency_values,
-)
-from dnn2lr.network import OUTPUT_IDENTITY, EmbeddingDnn
+from dnn2lr import inconsistency
+from dnn2lr.inconsistency import compute_inconsistency, feasible_matrix, global_weight_table
+from dnn2lr.network import OUTPUT_IDENTITY, OUTPUT_SIGMOID, EmbeddingDnn
 
 
 def global_table_oracle(local, ids, vocab_sizes):
@@ -58,30 +54,42 @@ class TestGlobalTable:
         assert np.all(table[[0, 1, 2, 4, 5]] == 0.0)
         assert np.allclose(table[3], 1.0)
 
-    def test_expand_is_lookup(self):
-        rng = np.random.default_rng(1)
-        table = rng.normal(size=(5 + 4, 3))  # field 1's rows start at 5
-        ids = np.array([[0, 3], [4, 1]], dtype=np.int32)
-        out = expand_global(table, ids, [5, 4])
-        assert np.array_equal(out[0, 0], table[0])
-        assert np.array_equal(out[0, 1], table[5 + 3])
-        assert np.array_equal(out[1, 1], table[5 + 1])
-
 
 class TestDMatrix:
-    def test_scalar_mode_definition(self):
+    def test_definition_per_element(self):
+        # D[k, f] = ((w_local - w_global) . e)^2, w_global the mean of w_local
+        # over the rows that share field f's value
         rng = np.random.default_rng(2)
-        local = rng.normal(size=(10, 3, 4))
-        glob = rng.normal(size=(10, 3, 4))
-        emb = rng.normal(size=(10, 3, 4))
-        d = inconsistency_values(local, glob, emb)
-        for k in range(10):
+        sizes = [6, 4, 9]
+        model = EmbeddingDnn(sizes, embedding_dim=4, hidden=(8, 5), seed=2)
+        ids = np.stack([rng.integers(0, v, size=40) for v in sizes], axis=1).astype(np.int32)
+        d = compute_inconsistency(model, ids).d
+        local = model.embedding_gradients(ids)
+        tables = global_table_oracle(local, ids, sizes)
+        emb = model.embed(ids).reshape(local.shape)
+        assert d.shape == (40, 3)
+        for k in range(40):
             for f in range(3):
-                want = float((local[k, f] - glob[k, f]) @ emb[k, f]) ** 2
-                assert d[k, f] == pytest.approx(want, abs=1e-12)
-        rng = np.random.default_rng(4)
-        draws = [rng.normal(size=(50, 4, 5)) for _ in range(3)]
-        assert np.all(inconsistency_values(*draws) >= 0)
+                want = float((local[k, f] - tables[f][ids[k, f]]) @ emb[k, f]) ** 2
+                assert d[k, f] == pytest.approx(want, rel=1e-9, abs=1e-30)
+        assert np.all(d >= 0)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 9), min_size=1, max_size=5),
+        rows=st.integers(1, 60),
+        output=st.sampled_from([OUTPUT_SIGMOID, OUTPUT_IDENTITY]),
+        space=st.sampled_from(["probability", "logit"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_chunk_size_does_not_change_d(self, sizes, rows, output, space, seed):
+        rng = np.random.default_rng(seed)
+        model = EmbeddingDnn(sizes, embedding_dim=3, hidden=(6,), output=output, seed=seed)
+        ids = np.stack([rng.integers(0, v, size=rows) for v in sizes], axis=1).astype(np.int32)
+        want = compute_inconsistency(model, ids, space).d
+        for chunk in (1, 7, rows):  # one row, a prime, all rows
+            with patch.object(inconsistency, "CHUNK_ROWS", chunk):
+                assert np.array_equal(compute_inconsistency(model, ids, space).d, want)
 
     def test_value_constant_column_has_zero_inconsistency(self):
         # if a field shows one single value, local == global mean for it only

@@ -441,6 +441,41 @@ def test_evaluate_names_the_file_and_line_of_an_unparseable_number(tmp_path, cap
     assert err == f"error: ingest: {data}: line 9: age: cannot parse 'abc' as a number\n"
 
 
+MULTILINE_BAD_ROWS = pytest.mark.parametrize(
+    "bad, message",
+    [("abc,c,1", "age: cannot parse 'abc' as a number"), ("3,c", "expected 3 cells, got 2")],
+    ids=["unparseable", "ragged"],
+)
+
+
+def write_multiline_csv(path, bad):
+    """A quoted city cell spanning lines 2 and 3, then ``bad`` as the record on line 5."""
+    rows = "".join(f"{i},c{i % 3},{i % 2}\n" for i in range(6, 60))
+    path.write_text(f'age,city,y\n1,"two\nlines",0\n2,c,1\n{bad}\n{rows}')
+
+
+@MULTILINE_BAD_ROWS
+def test_ingest_counts_the_lines_of_a_quoted_cell(tmp_path, capsys, bad, message):
+    data = tmp_path / "d.csv"
+    write_multiline_csv(data, bad)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"label = y\nfield.age = numerical\nfield.city = categorical\n"
+                    f"data = {data}\nworkdir = {tmp_path / 'work'}\n")
+    assert main(["ingest", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == f"error: ingest: {data}: line 5: {message}\n"
+
+
+@MULTILINE_BAD_ROWS
+def test_evaluate_counts_the_lines_of_a_quoted_cell(tmp_path, capsys, bad, message):
+    model = tmp_path / "m.txt"
+    model.write_text("bias\t0.0\nfield\t0\tage\tnumerical\nfield\t1\tcity\tcategorical\n"
+                     "edges\tage\t10\t30.0\nw\tage\tb0\t-1.0\nw\tage\tb1\t1.0\n")
+    data = tmp_path / "d.csv"
+    write_multiline_csv(data, bad)
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 1
+    assert capsys.readouterr().err == f"error: ingest: {data}: line 5: {message}\n"
+
+
 def run_cli(*argv, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "dnn2lr", *argv],
