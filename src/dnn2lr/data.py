@@ -13,8 +13,10 @@ import tokenize
 import zipfile
 import zlib
 from array import array
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -69,6 +71,48 @@ class RawTable:
 
     def column(self, index: int) -> list[str]:
         return [row[index] for row in self.rows]
+
+
+@dataclass
+class CodedTable:
+    """Rows as codes: row r's cell in field f is ``values[f][codes[r, f]]``."""
+
+    codes: np.ndarray  # (K, n) int32
+    values: list[list[str]]  # per field, the cells its codes stand for
+    labels: np.ndarray  # (K,) int8, values 0/1
+
+    def first_seen(self, f: int) -> list[str]:
+        """Field f's distinct cells in the order the rows first show them."""
+        column = self.codes[:, f]
+        _, first = np.unique(column, return_index=True)
+        ordered = column[np.sort(first)].tolist()
+        return list(dict.fromkeys(map(self.values[f].__getitem__, ordered)))
+
+
+_CODING_BLOCK = 1024  # rows transposed at once: few live iterators, all in cache
+
+
+def code_tables(tables: Sequence[RawTable]) -> list[CodedTable]:
+    """Code the tables' rows together, one column of a block of rows at a time.
+
+    Each field's values are its distinct cells in first-seen order over the
+    tables in turn, and every returned table shares them.
+    """
+    rows = list(chain.from_iterable(t.rows for t in tables))
+    codes = np.empty((len(rows), len(tables[0].fields)), dtype=np.int32)
+    # A missing key gets the next code: one lookup per cell codes by first sight.
+    indexes = [defaultdict(count().__next__) for _ in tables[0].fields]
+    for start in range(0, len(rows), _CODING_BLOCK):
+        block = rows[start : start + _CODING_BLOCK]
+        for f, column in enumerate(zip(*block)):
+            lookup = map(indexes[f].__getitem__, column)
+            codes[start : start + len(block), f] = np.fromiter(lookup, np.int32, len(block))
+    values = [list(index) for index in indexes]
+    cuts = np.cumsum([len(t) for t in tables])[:-1]
+    return [
+        CodedTable(codes=part, values=values, labels=np.asarray(t.labels, dtype=np.int8))
+        for part, t in zip(np.split(codes, cuts), tables)
+    ]
 
 
 @dataclass
@@ -187,7 +231,8 @@ class Vocabulary:
         self._to_value: list[list[str]] = [[] for _ in field_names]
 
     @classmethod
-    def build(cls, field_names: list[str], rows: list[list[str]]) -> "Vocabulary":
+    def build(cls, field_names: list[str], rows) -> "Vocabulary":
+        """Learn each field's values from an iterable of rows, in first-seen order."""
         vocab = cls(field_names)
         n = len(field_names)
         for row in rows:
@@ -235,10 +280,13 @@ class Vocabulary:
         ids = np.fromiter(flat, dtype=np.int32, count=len(rows) * self.n_fields)
         return ids.reshape(len(rows), self.n_fields)
 
-    def encode_table(self, table: RawTable) -> Dataset:
-        return Dataset(
-            ids=self.encode_rows(table.rows), labels=np.asarray(table.labels, dtype=np.int8)
-        )
+    def encode_table(self, table: CodedTable) -> Dataset:
+        """Look each field's values up once, then gather the ids by code."""
+        ids = np.empty(table.codes.shape, dtype=np.int32)
+        for f, (to_id, values) in enumerate(zip(self._to_id, table.values)):
+            lut = np.fromiter(map(to_id.get, values, repeat(UNSEEN_ID)), np.int32, len(values))
+            ids[:, f] = lut[table.codes[:, f]]
+        return Dataset(ids=ids, labels=table.labels)
 
 
 # Escapes for values stored in tab-separated artifacts. Bin labels are always

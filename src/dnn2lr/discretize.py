@@ -51,11 +51,6 @@ def parse_number(cell: str, field_name: str = "") -> float:
         raise IngestionError(f"{label}: cannot parse {cell!r} as a number") from None
 
 
-def parse_numeric(cells: list[str], field_name: str = "") -> np.ndarray:
-    """Convert raw cells to floats; empty cells become NaN."""
-    return np.array([parse_number(cell, field_name) for cell in cells], dtype=np.float64)
-
-
 def fit_equal_frequency(values: np.ndarray, granularity: int, field: int = 0) -> BinEdges:
     """Fit up to granularity-1 cut points at the empirical quantiles i/g.
 
@@ -114,14 +109,20 @@ def _single_field_valid_auc(
 ) -> float:
     # One weight per bin plus a bias, fitted by full-batch gradient descent.
     # Deterministic on purpose: zero init, fixed step count, no shuffling.
+    # A row's probability depends only on its bin, so exp runs once per bin, and
+    # with labels 0/1 its residual p - y is cell 2 * bin + y of a (bin, label)
+    # table. The sums still run over rows, in row order.
+    if not np.isin(train_labels, (0, 1)).all():
+        raise DiscretizationError("training labels must be 0 or 1")
     w = np.zeros(n_codes)
     b = 0.0
-    y = np.asarray(train_labels, dtype=np.float64)
-    k = y.size
+    cells = 2 * np.asarray(train_codes) + np.asarray(train_labels, dtype=np.intp)
+    k = cells.size
+    table = np.empty((n_codes, 2))
     for _ in range(300):
-        z = w[train_codes] + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        residual = p - y
+        p = 1.0 / (1.0 + np.exp(-(w + b)))
+        table[:, 0], table[:, 1] = p, p - 1.0
+        residual = table.ravel()[cells]
         grad_w = np.bincount(train_codes, weights=residual, minlength=n_codes) / k
         w -= 0.5 * (grad_w + 1e-6 * w)
         b -= 0.5 * float(residual.mean())
@@ -143,9 +144,9 @@ def select_granularity(
     """Pick the granularity whose binned single-field model scores best.
 
     For each candidate g the column is binned, a one-field logistic model is
-    fitted on the training split, and validation AUC decides. Ties go to the
-    smallest granularity (candidates are scanned in increasing order and only
-    a strictly better AUC replaces the incumbent).
+    fitted on the training split, and validation AUC decides. Labels are 0/1.
+    Ties go to the smallest granularity (candidates are scanned in increasing
+    order and only a strictly better AUC replaces the incumbent).
     """
     best: tuple[int, BinEdges] | None = None
     best_auc = -np.inf

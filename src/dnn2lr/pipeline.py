@@ -16,7 +16,9 @@ every weight 0.0.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import zlib
+from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -27,9 +29,9 @@ from .candidates import enumerate_candidates, load_candidates, save_candidates, 
 from .candidates import read_cross_lines, write_cross_lines
 from .config import PipelineConfig
 from .crosslr import SparseLrModel, split_keys, train_phase1, train_phase2
-from .data import NUMERICAL, Dataset, RawTable, Vocabulary, load_csv, save_csv, split_table
-from .data import load_arrays, save_arrays
-from .discretize import apply_edges, parse_number, parse_numeric, select_granularity
+from .data import MISSING, NUMERICAL, CodedTable, Dataset, FieldSchema, RawTable, Vocabulary
+from .data import code_tables, load_arrays, load_csv, save_arrays, save_csv, split_table
+from .discretize import apply_edges, parse_number, select_granularity
 from .errors import ConfigError, Dnn2LrError, IngestionError, StageError
 from .inconsistency import compute_inconsistency, feasible_matrix
 from .metrics import auc, ks
@@ -60,6 +62,80 @@ def _stage_seed(config: PipelineConfig, stage: str) -> int:
     return zlib.crc32(f"{config.seed}:{stage}".encode("utf-8"))
 
 
+def _check_schema(config: PipelineConfig, path, fields: list[FieldSchema]) -> None:
+    """Refuse a file whose schema is not the config's."""
+    if fields != sorted(config.fields, key=lambda f: f.index):
+        raise IngestionError(f"{path}: written for another schema")
+
+
+def _check_ids(path, ids: np.ndarray, labels: np.ndarray, sizes) -> None:
+    """Each field's ids within its size, one label 0/1 per row."""
+    if ids.shape[1] != len(sizes) or labels.size != ids.shape[0]:
+        raise IngestionError(f"{path}: ids {ids.shape} and labels {labels.shape} do not fit")
+    if (ids < 0).any() or (ids >= sizes).any():
+        raise IngestionError(f"{path}: ids outside the vocabulary")
+    if ((labels != 0) & (labels != 1)).any():
+        raise IngestionError(f"{path}: labels other than 0 and 1")
+
+
+def _write_splits(
+    path: Path, fields: list[FieldSchema], train: CodedTable, valid: CodedTable
+) -> None:
+    """Ingest's train and valid rows as codes and labels, with the strings the codes stand for.
+
+    ``text`` holds, as UTF-8, each field's name and kind, then each field's
+    values; ``offsets`` cuts it into strings and ``counts`` says how many
+    values each field has. ``text_crc32`` guards the strings, which no range
+    check can.
+    """
+    strings = chain((f.name for f in fields), (f.kind for f in fields), *train.values)
+    blobs = [s.encode("utf-8") for s in strings]
+    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, blobs), np.int64, len(blobs)), out=offsets[1:])
+    text = b"".join(blobs)
+    save_arrays(
+        path, train_codes=train.codes, train_labels=train.labels, valid_codes=valid.codes,
+        valid_labels=valid.labels, text=np.frombuffer(text, dtype=np.int8), offsets=offsets,
+        counts=np.array([len(v) for v in train.values], dtype=np.int64),
+        text_crc32=np.int64(zlib.crc32(text)),
+    )
+
+
+_SPLITS_ARRAYS = dict(
+    train_codes=(np.int32, 2), train_labels=(np.int8, 1), valid_codes=(np.int32, 2),
+    valid_labels=(np.int8, 1), text=(np.int8, 1), offsets=(np.int64, 1), counts=(np.int64, 1),
+    text_crc32=(np.int64, 0),
+)
+
+
+def _read_splits(config: PipelineConfig, path: Path) -> tuple[CodedTable, CodedTable]:
+    """Read _write_splits' file for the config's schema; the two tables share their values."""
+    a = load_arrays(path, _SPLITS_ARRAYS)
+    text, offsets, counts = a["text"].tobytes(), a["offsets"], a["counts"]
+    n = counts.size
+    if (
+        zlib.crc32(text) != a["text_crc32"] or ((counts < 0) | (counts > offsets.size)).any()
+        or offsets.size != 2 * n + counts.sum() + 1 or offsets[0] != 0
+        or offsets[-1] != len(text) or (np.diff(offsets) < 0).any()
+    ):
+        raise IngestionError(f"{path}: damaged string table")
+    bounds = offsets.tolist()
+    try:
+        strings = [text[i:j].decode("utf-8") for i, j in zip(bounds, bounds[1:])]
+        fields = [FieldSchema(*spec) for spec in zip(strings[:n], range(n), strings[n : 2 * n])]
+    except (UnicodeDecodeError, ConfigError):
+        raise IngestionError(f"{path}: damaged string table") from None
+    _check_schema(config, path, fields)
+    ends = np.cumsum(counts).tolist()
+    values = [strings[2 * n + i : 2 * n + j] for i, j in zip([0, *ends], ends)]
+    tables = []
+    for split in ("train", "valid"):
+        codes, labels = a[f"{split}_codes"], a[f"{split}_labels"]
+        _check_ids(path, codes, labels, counts)
+        tables.append(CodedTable(codes=codes, values=values, labels=labels))
+    return tables[0], tables[1]
+
+
 def _write_encoded(path: Path, dataset: Dataset) -> None:
     save_arrays(path, ids=dataset.ids, labels=dataset.labels)
 
@@ -67,14 +143,8 @@ def _write_encoded(path: Path, dataset: Dataset) -> None:
 def _read_encoded(path: Path, vocab_sizes: list[int]) -> Dataset:
     """One encoded split: ids inside each field's vocabulary, labels 0/1."""
     arrays = load_arrays(path, {"ids": (np.int32, 2), "labels": (np.int8, 1)})
-    ids, labels = arrays["ids"], arrays["labels"]
-    if ids.shape[1] != len(vocab_sizes) or labels.size != ids.shape[0]:
-        raise IngestionError(f"{path}: ids {ids.shape} and labels {labels.shape} do not fit")
-    if (ids < 0).any() or (ids >= vocab_sizes).any():
-        raise IngestionError(f"{path}: ids outside the vocabulary")
-    if ((labels != 0) & (labels != 1)).any():
-        raise IngestionError(f"{path}: labels other than 0 and 1")
-    return Dataset(ids=ids, labels=labels)
+    _check_ids(path, arrays["ids"], arrays["labels"], vocab_sizes)
+    return Dataset(ids=arrays["ids"], labels=arrays["labels"])
 
 
 def _write_matrix(path: Path, d: np.ndarray) -> None:
@@ -108,63 +178,67 @@ def _check_numbers(path, table: RawTable) -> None:
 
 
 def stage_ingest(config: PipelineConfig, ws: Workspace) -> None:
-    """Load the raw CSV, check its numbers, shuffle, and write the three split files."""
+    """Load the raw CSV, check its numbers, shuffle, code train and valid, write test.csv."""
     if config.data is None:
         raise IngestionError("no data file configured (set data = <path> or pass --data)")
     if not Path(config.data).is_file():
         raise IngestionError(f"data file not found or not a file: {config.data}")
     table = load_csv(config.data, config.fields, config.label)
     _check_numbers(config.data, table)
-    parts = split_table(table, config.split, seed=_stage_seed(config, "ingest"))
+    train, valid, test = split_table(table, config.split, seed=_stage_seed(config, "ingest"))
     try:
         ws.root.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise StageError(f"work directory {ws.root}: {err.strerror}") from None
-    for path, part in zip((ws.train_csv, ws.valid_csv, ws.test_csv), parts):
-        save_csv(path, part, label=config.label)
+    save_csv(ws.test_csv, test, label=config.label)
+    _write_splits(ws.splits, table.fields, *code_tables([train, valid]))
 
 
 def stage_discretize(config: PipelineConfig, ws: Workspace) -> None:
-    """Bin numerical fields, build the vocabulary, write the encoded train and valid ids."""
-    paths = (ws.train_csv, ws.valid_csv)
-    train_part, valid_part = parts = [load_csv(p, config.fields, config.label) for p in paths]
+    """Bin numerical fields, build the vocabulary, write the encoded train and valid ids.
+
+    Work is per distinct cell: each number is parsed and binned once, and each
+    row's float or id is a gather by its code.
+    """
+    train, valid = _read_splits(config, ws.splits)
+    values = list(train.values)  # numerical fields' cells give way to their bin labels
     edges_by_name = {}
     for f in config.fields:
         if f.kind != NUMERICAL:
             continue
-        values = [parse_numeric(part.column(f.index), field_name=f.name) for part in parts]
+        floats = np.array([parse_number(cell, f.name) for cell in values[f.index]])
         _, edges = select_granularity(
-            values[0],
-            np.asarray(train_part.labels),
-            values[1],
-            np.asarray(valid_part.labels),
+            floats[train.codes[:, f.index]],
+            train.labels,
+            floats[valid.codes[:, f.index]],
+            valid.labels,
             field=f.index,
             candidates=config.granularities,
         )
         edges_by_name[f.name] = edges
-        for part, part_values in zip(parts, values):
-            binned = apply_edges(edges, part_values)
-            for row, bin_label in zip(part.rows, binned):
-                row[f.index] = bin_label
-    vocab = Vocabulary.build([f.name for f in config.fields], train_part.rows)
+        values[f.index] = apply_edges(edges, floats)
+    train, valid = (dataclasses.replace(table, values=values) for table in (train, valid))
+    # One row per rank: each field's train values in first-seen order, padded with the
+    # missing value, which no vocabulary learns.
+    ranked = zip_longest(*map(train.first_seen, range(len(values))), fillvalue=MISSING)
+    vocab = Vocabulary.build([f.name for f in config.fields], ranked)
     model_io.export_model(
         ws.encoding, SparseLrModel(vocab.sizes()), config.fields, vocab, edges_by_name, []
     )
-    _write_encoded(ws.encoded_train, vocab.encode_table(train_part))
-    _write_encoded(ws.encoded_valid, vocab.encode_table(valid_part))
+    _write_encoded(ws.encoded_train, vocab.encode_table(train))
+    _write_encoded(ws.encoded_valid, vocab.encode_table(valid))
 
 
-def _load_encoding(config: PipelineConfig, ws: Workspace) -> model_io.ExportedModel:
-    """The zero-weight scorecard discretize wrote: its vocabulary and bin edges."""
-    encoding = model_io.load_exported(ws.encoding)
-    if encoding.fields != sorted(config.fields, key=lambda f: f.index):
-        raise IngestionError(f"{ws.encoding}: written for another schema")
-    return encoding
+def _load_scorecard(config: PipelineConfig, path) -> model_io.ExportedModel:
+    """A scorecard file (discretize's zero-weight encoding, or the final model) for this schema."""
+    exported = model_io.load_exported(path)
+    _check_schema(config, path, exported.fields)
+    return exported
 
 
 def _load_encoded(config: PipelineConfig, ws: Workspace, *paths: Path) -> tuple:
     """The vocabulary, then each encoded split of ``paths`` checked against it."""
-    vocab = _load_encoding(config, ws).vocab
+    vocab = _load_scorecard(config, ws.encoding).vocab
     return vocab, *(_read_encoded(path, vocab.sizes()) for path in paths)
 
 
@@ -301,7 +375,7 @@ def load_selected(path, n_fields: int) -> list[tuple[int, ...]]:
 
 def stage_export_model(config: PipelineConfig, ws: Workspace) -> None:
     """Write the deployable white-box model with selected crosses only."""
-    encoding = _load_encoding(config, ws)
+    encoding = _load_scorecard(config, ws.encoding)
     model = load_lr_full(ws.lr_full, encoding.vocab.sizes())
     selected = load_selected(ws.selected_tsv, len(config.fields))
     model_io.export_model(
@@ -330,7 +404,7 @@ def evaluate_model(model_path, data_path, label: str = "y") -> dict:
 
 def stage_evaluate(config: PipelineConfig, ws: Workspace) -> dict:
     """Test-split metrics for the final model and its plain-LR ablation."""
-    exported = model_io.load_exported(ws.model_final)
+    exported = _load_scorecard(config, ws.model_final)
     labels, ids = _encode_csv(exported, ws.test_csv, config.fields, config.label)
     plain_scores = exported.score_ids(ids, include_cross=False)
     final_scores = exported.score_ids(ids)
@@ -361,9 +435,8 @@ def render_report(report: dict) -> str:
 # written by an earlier stage; the stage functions look up their readers and
 # writers when called, so they can be replaced on this module.
 STAGES = {
-    "ingest": Stage(stage_ingest, (),
-                    dict(train_csv="train.csv", valid_csv="valid.csv", test_csv="test.csv")),
-    "discretize": Stage(stage_discretize, ("train_csv", "valid_csv"),
+    "ingest": Stage(stage_ingest, (), dict(splits="splits.npz", test_csv="test.csv")),
+    "discretize": Stage(stage_discretize, ("splits",),
                         dict(encoding="encoding.txt", encoded_train="encoded_train.npz",
                              encoded_valid="encoded_valid.npz")),
     "train-dnn": Stage(stage_train_dnn, ("encoding", "encoded_train", "encoded_valid"),

@@ -17,6 +17,7 @@ from dnn2lr.data import (
     RawTable,
     Vocabulary,
     check_schema,
+    code_tables,
     load_arrays,
     load_csv,
     save_arrays,
@@ -202,12 +203,23 @@ class TestVocabulary:
         fields = two_field_schema()
         rows = [["red", "box"], ["blue", "ball"]]
         table = RawTable(fields=fields, rows=rows, labels=[0, 1])
-        vocab = Vocabulary.build(["color", "shape"], rows)
-        ds = vocab.encode_table(table)
+        vocab = Vocabulary.build(["color", "shape"], rows[:1])
+        ds = vocab.encode_table(code_tables([table])[0])
         assert isinstance(ds, Dataset)
-        assert ds.ids.shape == (2, 2)
+        assert ds.ids.tolist() == [[2, 2], [UNSEEN_ID, UNSEEN_ID]]
         assert ds.labels.tolist() == [0, 1]
         assert ds.labels.dtype == np.int8
+
+    def test_code_tables_share_first_seen_values(self):
+        fields = two_field_schema()
+        first = RawTable(fields=fields, rows=[["b", ""], ["a", "x"], ["b", "x"]], labels=[0, 1, 1])
+        second = RawTable(fields=fields, rows=[["c", "x"], ["a", ""]], labels=[1, 0])
+        one, two = code_tables([first, second])
+        assert one.values is two.values and one.values == [["b", "a", "c"], ["", "x"]]
+        assert one.codes.tolist() == [[0, 0], [1, 1], [0, 1]]
+        assert two.codes.tolist() == [[2, 1], [1, 0]]
+        assert two.labels.tolist() == [1, 0] and two.labels.dtype == np.int8
+        assert two.first_seen(0) == ["c", "a"] and one.first_seen(1) == ["", "x"]
 
 
 SPEC = {"ids": (np.int32, 2), "labels": (np.int8, 1)}

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from dnn2lr.discretize import (
     GRANULARITIES,
     BinEdges,
+    _single_field_valid_auc,
     apply_edges,
     bin_index,
     bin_of,
     fit_equal_frequency,
-    parse_numeric,
+    parse_number,
     select_granularity,
 )
 from dnn2lr.crosslr import SparseLrModel
 from dnn2lr.data import NUMERICAL, FieldSchema, Vocabulary
-from dnn2lr.errors import DiscretizationError, IngestionError
+from dnn2lr.errors import DiscretizationError, IngestionError, UndefinedMetricError
+from dnn2lr.metrics import auc
 from dnn2lr.model_io import export_model, load_exported
 
 
@@ -26,15 +28,34 @@ def bin_index_oracle(cuts, v):
     return sum(1 for c in cuts if c < v)
 
 
-class TestParseNumeric:
+def probe_auc_oracle(train_codes, train_labels, valid_codes, valid_labels, n_codes):
+    """The granularity probe as a per-row loop: exp and the residual taken for every row."""
+    w = np.zeros(n_codes)
+    b = 0.0
+    y = np.asarray(train_labels, dtype=np.float64)
+    k = y.size
+    for _ in range(300):
+        z = w[train_codes] + b
+        p = 1.0 / (1.0 + np.exp(-z))
+        residual = p - y
+        grad_w = np.bincount(train_codes, weights=residual, minlength=n_codes) / k
+        w -= 0.5 * (grad_w + 1e-6 * w)
+        b -= 0.5 * float(residual.mean())
+    try:
+        return auc(valid_labels, w[valid_codes] + b)
+    except UndefinedMetricError:
+        return 0.5
+
+
+class TestParseNumber:
     def test_basic(self):
-        out = parse_numeric(["1.5", " 2 ", "", "-3e2"])
+        out = [parse_number(cell) for cell in ["1.5", " 2 ", "", "-3e2"]]
         assert out[0] == 1.5 and out[1] == 2.0 and out[3] == -300.0
         assert np.isnan(out[2])
 
     def test_garbage_raises(self):
-        with pytest.raises(IngestionError):
-            parse_numeric(["1.0", "abc"], field_name="age")
+        with pytest.raises(IngestionError, match="age"):
+            parse_number("abc", field_name="age")
 
 
 class TestFit:
@@ -130,6 +151,12 @@ class TestSelectGranularity:
         assert g == min(GRANULARITIES)
         assert edges.cuts == ()
 
+    def test_training_labels_other_than_0_and_1_are_refused(self):
+        x = np.arange(20, dtype=np.float64)
+        y = np.array([0, 1, 2, 1] * 5, dtype=np.int8)
+        with pytest.raises(DiscretizationError, match="0 or 1"):
+            select_granularity(x, y, x, y % 2)
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=600)
@@ -138,6 +165,35 @@ class TestSelectGranularity:
         second = select_granularity(x[:400], y[:400], x[400:], y[400:])
         assert first[0] == second[0]
         assert first[1] == second[1]
+
+
+@st.composite
+def probes(draw):
+    """Bin codes and 0/1 labels of a train and a valid split, some bins empty."""
+    n_codes = draw(st.integers(1, 40))
+    code = st.integers(0, n_codes - 1)
+    train = draw(st.lists(st.tuples(code, st.integers(0, 1)), min_size=1, max_size=300))
+    valid = draw(st.lists(st.tuples(code, st.integers(0, 1)), min_size=1, max_size=100))
+    arrays = [np.array(part, dtype=np.int64).reshape(-1, 2) for part in (train, valid)]
+    return (arrays[0][:, 0], arrays[0][:, 1].astype(np.int8), arrays[1][:, 0],
+            arrays[1][:, 1].astype(np.int8), n_codes)
+
+
+class TestProbe:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(probes())
+    def test_per_bin_probe_equals_per_row_loop_to_the_bit(self, probe):
+        assert _single_field_valid_auc(*probe) == probe_auc_oracle(*probe)
+
+    def test_workload_shaped_probe_equals_loop(self):
+        rng = np.random.default_rng(4)
+        x = rng.lognormal(size=6000)
+        y = (rng.random(6000) < 1 / (1 + np.exp(-np.log(x)))).astype(np.int8)
+        for g in GRANULARITIES:
+            edges = fit_equal_frequency(x[:4000], g)
+            tr, va = bin_index(edges, x[:4000]), bin_index(edges, x[4000:])
+            probe = (tr, y[:4000], va, y[4000:], edges.n_bins())
+            assert _single_field_valid_auc(*probe) == probe_auc_oracle(*probe)
 
 
 class TestEdgesIo:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dnn2lr.crosslr import SparseLrModel, split_keys
 from dnn2lr.data import CATEGORICAL, NUMERICAL, FieldSchema, Vocabulary, escape, unescape
-from dnn2lr.discretize import BinEdges, apply_edges, bin_labels, parse_numeric
+from dnn2lr.discretize import BinEdges, apply_edges, bin_labels, parse_number
 from dnn2lr.errors import ConfigError, IngestionError
 from dnn2lr.cli import main
 from dnn2lr.model_io import _split_escaped, export_model, load_exported
@@ -242,7 +242,7 @@ def scorecards(draw):
     scored = train + draw(st.lists(row, max_size=6))  # unseen values among them
 
     def binned(rows):
-        numbers = parse_numeric([r[-1] for r in rows])
+        numbers = np.array([parse_number(r[-1]) for r in rows])
         return [r[:-1] + [label] for r, label in zip(rows, apply_edges(edges, numbers))]
 
     vocab = Vocabulary.build(names, binned(train))

@@ -316,6 +316,35 @@ def test_evaluate_refuses_a_repeated_or_misplaced_line(finished_run, tmp_path, c
     assert_names_the_line(capsys.readouterr().err, model_path)
 
 
+def test_evaluate_refuses_a_config_listing_fields_in_another_order(finished_run, tmp_path, capsys):
+    """The config's order reads test.csv and the model's scores it, so the two must agree."""
+    _, _, ws, data_path = finished_run
+    work = tmp_path / "work"
+    shutil.copytree(ws.root, work)
+    first_two = "field.f00 = categorical\nfield.f01 = categorical\n"
+    swapped = "field.f01 = categorical\nfield.f00 = categorical\n"
+    conf = tmp_path / "run.conf"
+    conf.write_text(make_config_text(data_path, work).replace(first_two, swapped))
+    assert main(["evaluate", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ingest: {work / 'model_final.txt'}: written for another schema\n"
+    assert (work / "report.txt").read_bytes() == ws.report.read_bytes()
+
+
+def test_work_directory_with_split_csvs_and_no_container_needs_ingest(
+    finished_run, tmp_path, capsys
+):
+    """A work directory from before ingest coded its splits holds train.csv and valid.csv."""
+    def as_before(work):
+        (work / "splits.npz").unlink()
+        for name in ("train.csv", "valid.csv"):
+            shutil.copy(work / "test.csv", work / name)
+
+    code, err = run_on_copy(finished_run, tmp_path, capsys, "discretize", ".", as_before)
+    assert code == 1
+    assert err == "error: pipeline: missing: ingest\n"
+
+
 def test_lr_full_holds_a_cross_wider_than_int64(tmp_path):
     sizes = [100_003] * 4  # the 4-way span, about 1e20, exceeds int64
     model = SparseLrModel(sizes)
