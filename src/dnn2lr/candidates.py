@@ -45,42 +45,29 @@ def candidate_space_size(n_fields: int, order: int) -> int:
 
 
 def enumerate_candidates(
-    feasible: np.ndarray,
-    inconsistency: np.ndarray | None = None,
-    field_cap: int = DEFAULT_FIELD_CAP,
-    max_order: int = MAX_ORDER,
+    feasible: np.ndarray, inconsistency: np.ndarray, field_cap: int = DEFAULT_FIELD_CAP
 ) -> Counter:
-    """Count field subsets of order 2..max_order over per-sample feasible sets.
+    """Count field subsets of order 2 to 4 over per-sample feasible sets.
 
-    feasible is the (K, n) boolean matrix; inconsistency supplies the values
-    used to keep only the ``field_cap`` highest-d fields when a sample has
-    more feasible fields than that (ties broken toward the lower field index).
-    Samples with fewer than two feasible fields contribute nothing.
+    feasible is the (K, n) boolean matrix and inconsistency the D it was taken
+    from: a sample with more than ``field_cap`` feasible fields keeps its
+    highest-d ones (ties broken toward the lower field index). Samples with
+    fewer than two feasible fields contribute nothing.
     """
-    feasible = np.asarray(feasible, dtype=bool)
+    feasible, inconsistency = np.asarray(feasible, dtype=bool), np.asarray(inconsistency)
     if feasible.ndim != 2:
         raise ConfigError("feasible matrix must be 2-dimensional")
-    if max_order < MIN_ORDER or max_order > MAX_ORDER:
-        raise ConfigError(f"max_order must be between {MIN_ORDER} and {MAX_ORDER}")
-    if inconsistency is not None and np.asarray(inconsistency).shape != feasible.shape:
+    if inconsistency.shape != feasible.shape:
         raise ConfigError("inconsistency matrix must match the feasible matrix shape")
     counts: Counter = Counter()
     for k in range(feasible.shape[0]):
         fields = np.flatnonzero(feasible[k])
         if fields.size > field_cap:
-            if inconsistency is None:
-                raise ConfigError(
-                    f"sample {k} has {fields.size} feasible fields; "
-                    "inconsistency values are required to apply the cap"
-                )
-            row = np.asarray(inconsistency)[k, fields]
             # Stable sort on -d keeps ascending field order among ties.
-            keep = np.argsort(-row, kind="stable")[:field_cap]
+            keep = np.argsort(-inconsistency[k, fields], kind="stable")[:field_cap]
             fields = np.sort(fields[keep])
-        if fields.size < MIN_ORDER:
-            continue
         members = [int(f) for f in fields]
-        for order in range(MIN_ORDER, min(max_order, len(members)) + 1):
+        for order in range(MIN_ORDER, min(MAX_ORDER, len(members)) + 1):
             counts.update(combinations(members, order))
     return counts
 

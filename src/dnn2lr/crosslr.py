@@ -7,9 +7,10 @@ cross-feature weights with phase 1's parameters frozen bit-for-bit, so adding
 candidates can only ever add terms on top of the plain scorecard.
 
 Cross-feature values are keyed by one mixed-radix integer built from the
-constituent ids (see CrossKeys); each cross keeps a sorted key array and a
-weight array, and a combination never seen in training contributes exactly 0
-(its key is absent).
+constituent ids (see CrossKeys). Each cross keeps a sorted key array and a
+weight array. Training and scoring both lay the tables end to end in one flat
+vector with a trailing 0.0 slot, which a combination never seen in training
+reads, so it contributes exactly 0.
 """
 
 from __future__ import annotations
@@ -180,47 +181,58 @@ class SparseLrModel:
 
 
 def _fit_tables(
-    weights, codes, valid_codes, base, valid_base, labels, valid_labels, settings, seed, bias
+    tables, codes, valid_codes, base, valid_base, labels, valid_labels, settings, seed, bias
 ):
     """Minibatch SGD on lookup tables over a fixed base logit; both phases use it.
 
-    Row k's logit is ``base[k] + sum_t weights[t][codes[t][k]]``, plus
-    ``bias[0]`` unless ``bias`` is None (a one-element array is fitted too); a
-    valid code of -1 contributes 0. ``settings`` is an LrSettings, validated
-    here; ``seed`` draws the minibatch order. The epoch loop is the network's
-    fit_with_early_stopping, scored by validation AUC: the best epoch's tables
-    and bias are restored in place. Returns the history.
+    Row k's logit is ``base[k] + tables[0][codes[k, 0]] + ... + tables[T-1][codes[k, T-1]]``
+    added from the left, plus ``bias[0]`` unless ``bias`` is None (a one-element
+    array is fitted too); a valid code of -1 adds 0.0. The tables train as one
+    flat vector in CompiledScorer's layout (end to end, then a 0.0 slot that -1
+    reads): a step is one gather, one accumulate along rows and one bincount.
+    The bits are those of a gather and a bincount per table: the accumulate adds
+    in table order, each bin belongs to one table and sums its rows in row
+    order, and the 0.0 slot gets no gradient, so L2 keeps it 0.0. ``settings``
+    (an LrSettings, validated here) and ``seed`` drive fit_with_early_stopping,
+    scored by validation AUC; the best epoch's weights are written back into
+    ``tables`` and ``bias``. Returns the history.
     """
     settings.validate()
     y = np.asarray(labels, dtype=np.float64).ravel()
     y_valid = np.asarray(valid_labels, dtype=np.float64).ravel()
     if len(set(y_valid.tolist())) < 2:
         raise TrainingError("validation split has a single class; AUC is undefined")
+    bounds = np.cumsum([0, *(w.size for w in tables)])
+    flat = np.concatenate([*tables, [0.0]])
+    codes = codes + bounds[:-1]
+    valid_codes = np.where(valid_codes >= 0, valid_codes + bounds[:-1], -1)
+
+    def lookup_sum(row_base: np.ndarray, row_codes: np.ndarray) -> np.ndarray:
+        terms = np.column_stack([row_base, flat[row_codes]])
+        logit = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        return logit if bias is None else logit + bias
 
     def step(batch: np.ndarray) -> float:
-        logit = base[batch]
-        for w, c in zip(weights, codes):
-            logit += w[c[batch]]
-        p = stable_sigmoid(logit if bias is None else logit + bias)
+        batch_codes = codes[batch]
+        p = stable_sigmoid(lookup_sum(base[batch], batch_codes))
         yb = y[batch]
         residual = (p - yb) / batch.size
-        for w, c in zip(weights, codes):
-            grad = np.bincount(c[batch], weights=residual, minlength=w.size)
-            w -= settings.learning_rate * (grad + settings.l2 * w)
+        grad = np.bincount(batch_codes.ravel(), weights=np.repeat(residual, len(tables)),
+                           minlength=flat.size)
+        flat[:] -= settings.learning_rate * (grad + settings.l2 * flat)
         if bias is not None:
             bias[0] -= settings.learning_rate * float(residual.sum())
         return -float(np.sum(yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)))
 
     def validate() -> tuple[float, float]:
-        valid_logit = valid_base.copy()
-        for w, c in zip(weights, valid_codes):
-            valid_logit += np.where(c >= 0, w[c], 0.0)
-        valid_logit = valid_logit if bias is None else valid_logit + bias
-        valid_auc = auc(y_valid, stable_sigmoid(valid_logit))
+        valid_auc = auc(y_valid, stable_sigmoid(lookup_sum(valid_base, valid_codes)))
         return valid_auc, valid_auc
 
-    params = [*weights] if bias is None else [*weights, bias]
-    return fit_with_early_stopping(params, y.size, settings, seed, step, validate)
+    params = [flat] if bias is None else [flat, bias]
+    history = fit_with_early_stopping(params, y.size, settings, seed, step, validate)
+    for w, part in zip(tables, np.split(flat, bounds[1:])):
+        w[...] = part
+    return history
 
 
 def train_phase1(
@@ -237,7 +249,7 @@ def train_phase1(
     valid = model._check_ids(valid_ids)
     bias = np.array([model.bias])
     history = _fit_tables(
-        model.field_weights, list(ids.T), list(valid.T), np.zeros(len(ids)), np.zeros(len(valid)),
+        model.field_weights, ids, valid, np.zeros(len(ids)), np.zeros(len(valid)),
         train_labels, valid_labels, settings or LrSettings(), seed, bias,
     )
     model.bias = float(bias[0])
@@ -266,13 +278,15 @@ def train_phase2(
     fields_list = [_normalize_fields(c) for c in candidates]
     if len(set(fields_list)) != len(fields_list):
         raise ConfigError("duplicate candidate cross fields")
-    uniqs, codes, valid_codes = [], [], []
-    for fields in fields_list:
+    codes = np.empty((len(ids), len(fields_list)), dtype=np.intp)
+    valid_codes = np.empty((len(valid), len(fields_list)), dtype=np.intp)
+    uniqs = []
+    for j, fields in enumerate(fields_list):
         keys = CrossKeys([fields], model.vocab_sizes)
         uniq, inverse = np.unique(keys.encode(ids)[:, 0], return_inverse=True)
         uniqs.append(uniq)
-        codes.append(inverse.ravel())
-        valid_codes.append(_find(np.append(uniq, keys.span), keys.encode(valid)[:, 0]))
+        codes[:, j] = inverse.ravel()
+        valid_codes[:, j] = _find(np.append(uniq, keys.span), keys.encode(valid)[:, 0])
     weights = [np.zeros(uniq.size) for uniq in uniqs]
     history = _fit_tables(
         weights, codes, valid_codes, model.logits(ids, active=[]), model.logits(valid, active=[]),
@@ -281,4 +295,3 @@ def train_phase2(
     for fields, uniq, w in zip(fields_list, uniqs, weights):
         model.attach_cross(fields, split_keys(uniq, [model.vocab_sizes[f] for f in fields]), w)
     return history
-

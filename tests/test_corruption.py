@@ -1,4 +1,10 @@
-"""Damaged array containers: the next stage gives the clean answer or one error line."""
+"""Damaged artifacts: the next stage gives the clean answer or one error line.
+
+An array container carries its own checks, so a damaged one must leave the
+next stage's outputs as they were. A text file has none: a damaged one may be
+a valid file of other content, so the next stage may also exit 0 with other
+outputs, but never with a traceback.
+"""
 
 import contextlib
 import io
@@ -22,16 +28,17 @@ FILES = {attr: name for stage in STAGES.values() for attr, name in stage.writes.
 
 
 def next_stages() -> dict[str, tuple[str, tuple[str, ...]]]:
-    """Each container a stage reads -> the first stage reading it and the files it writes."""
+    """Each file a stage reads -> the first stage reading it and the files it writes."""
     out: dict[str, tuple[str, tuple[str, ...]]] = {}
     for name, stage in STAGES.items():
         for attr in stage.reads:
-            if FILES[attr].endswith(".npz"):
-                out.setdefault(FILES[attr], (name, tuple(stage.writes.values())))
+            out.setdefault(FILES[attr], (name, tuple(stage.writes.values())))
     return out
 
 
 NEXT_STAGE = next_stages()
+CONTAINERS = sorted(name for name in NEXT_STAGE if name.endswith(".npz"))
+TEXTS = sorted(name for name in NEXT_STAGE if not name.endswith(".npz"))
 ERROR_LINE = re.compile(r"^error: [a-z]+: ")
 
 
@@ -68,19 +75,20 @@ def runs(tmp_path_factory):
 
 
 def bad_value(dtype: np.dtype, name: str) -> st.SearchStrategy:
-    """Values the readers forbid: non-finite floats, D below 0, integers at -1 or at their max.
+    """Values the readers forbid: non-finite floats, D below 0, integers at their max or,
+    if signed, at -1.
 
     A finite float changed in place is a valid artifact no reader can tell from the clean
     one, so the property draws none.
     """
     if dtype.kind == "f":
         return st.sampled_from([np.nan, np.inf, -np.inf] + ([-1.0] if name == "d" else []))
-    return st.sampled_from([-1, int(np.iinfo(dtype).max)])
+    return st.sampled_from([-1] * (dtype.kind == "i") + [int(np.iinfo(dtype).max)])
 
 
-def corrupt(data, path: Path, other: Path) -> None:
+def corrupt(data, path: Path, other: Path, kinds: list[str]) -> None:
     raw = path.read_bytes()
-    kind = data.draw(st.sampled_from(["truncate", "flip", "cell", "swap"]))
+    kind = data.draw(st.sampled_from(kinds))
     if kind == "truncate":
         path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
     elif kind == "flip":
@@ -97,26 +105,58 @@ def corrupt(data, path: Path, other: Path) -> None:
         shutil.copyfile(other / path.name, path)
 
 
+@contextlib.contextmanager
+def damaged_copy(runs, data, name: str, kinds: list[str]):
+    """A copy of the clean work directory with ``name`` damaged, and a config reading it."""
+    conf, clean, other = runs
+    with tempfile.TemporaryDirectory() as scratch:
+        work = Path(scratch) / "work"
+        shutil.copytree(clean, work)
+        corrupt(data, work / name, other, kinds)
+        copy_conf = Path(scratch) / "run.conf"
+        copy_conf.write_text(conf.read_text().replace(str(clean), str(work)))
+        yield work, copy_conf
+
+
+def assert_one_error_line(code: int, err: str) -> None:
+    assert code == 1
+    assert len(err.splitlines()) == 1 and ERROR_LINE.match(err), err
+
+
 def test_every_container_the_pipeline_writes_is_damaged():
-    assert sorted(NEXT_STAGE) == sorted(n for n in FILES.values() if n.endswith(".npz"))
+    assert CONTAINERS == sorted(n for n in FILES.values() if n.endswith(".npz"))
+
+
+def test_every_text_file_a_stage_reads_is_damaged():
+    assert TEXTS == ["candidates.tsv", "encoding.txt", "model_final.txt", "selected.tsv",
+                     "test.csv"]
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.data())
 def test_damaged_container_fails_with_one_line_or_changes_nothing(runs, data):
-    conf, clean, other = runs
-    name = data.draw(st.sampled_from(sorted(NEXT_STAGE)))
+    clean = runs[1]
+    name = data.draw(st.sampled_from(CONTAINERS))
     stage, outputs = NEXT_STAGE[name]
-    with tempfile.TemporaryDirectory() as scratch:
-        work = Path(scratch) / "work"
-        shutil.copytree(clean, work)
-        corrupt(data, work / name, other)
-        copy_conf = Path(scratch) / "run.conf"
-        copy_conf.write_text(conf.read_text().replace(str(clean), str(work)))
-        code, err = run_cli(stage, "--config", str(copy_conf))
+    with damaged_copy(runs, data, name, ["truncate", "flip", "cell", "swap"]) as (work, conf):
+        code, err = run_cli(stage, "--config", str(conf))
         if code == 0:
             for output in outputs:
                 assert (work / output).read_bytes() == (clean / output).read_bytes(), output
         else:
-            assert code == 1
-            assert len(err.splitlines()) == 1 and ERROR_LINE.match(err), err
+            assert_one_error_line(code, err)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_damaged_text_file_fails_with_one_line_or_runs(runs, data):
+    name = data.draw(st.sampled_from(TEXTS))
+    standalone = name == "model_final.txt" and data.draw(st.booleans())  # evaluate --model
+    with damaged_copy(runs, data, name, ["truncate", "flip", "swap"]) as (work, conf):
+        if standalone:
+            argv = ["evaluate", "--model", str(work / name), "--data", str(work / "test.csv")]
+        else:
+            argv = [NEXT_STAGE[name][0], "--config", str(conf)]
+        code, err = run_cli(*argv)
+        if code != 0:
+            assert_one_error_line(code, err)

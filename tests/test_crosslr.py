@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from dnn2lr.crosslr import (
     CrossKeys,
     SparseLrModel,
+    _find,
+    _normalize_fields,
     split_keys,
     train_phase1,
     train_phase2,
@@ -17,7 +19,7 @@ from dnn2lr.crosslr import (
 from dnn2lr.config import LrSettings
 from dnn2lr.errors import ConfigError, EncodingError, TrainingError
 from dnn2lr.metrics import auc
-from dnn2lr.network import stable_sigmoid
+from dnn2lr.network import fit_with_early_stopping, stable_sigmoid
 
 
 def make_xor_data(seed, k=1200, noise=0.05):
@@ -231,3 +233,113 @@ class TestPhase2:
         train_phase2(model, tr_ids, tr_y, va_ids, va_y, [cand], LrSettings(epochs=5), seed=9)
         assert model.cross_fields == [(0, 1)]
 
+
+
+def per_table_fit(weights, codes, valid_codes, base, valid_base, labels, valid_labels,
+                  settings, seed, bias):
+    """The trainer as one gather and one bincount per table: the flat trainer's oracle."""
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    y_valid = np.asarray(valid_labels, dtype=np.float64).ravel()
+
+    def step(batch):
+        logit = base[batch]
+        for w, c in zip(weights, codes):
+            logit += w[c[batch]]
+        p = stable_sigmoid(logit if bias is None else logit + bias)
+        yb = y[batch]
+        residual = (p - yb) / batch.size
+        for w, c in zip(weights, codes):
+            grad = np.bincount(c[batch], weights=residual, minlength=w.size)
+            w -= settings.learning_rate * (grad + settings.l2 * w)
+        if bias is not None:
+            bias[0] -= settings.learning_rate * float(residual.sum())
+        return -float(np.sum(yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)))
+
+    def validate():
+        valid_logit = valid_base.copy()
+        for w, c in zip(weights, valid_codes):
+            valid_logit += np.where(c >= 0, w[c], 0.0)
+        valid_logit = valid_logit if bias is None else valid_logit + bias
+        valid_auc = auc(y_valid, stable_sigmoid(valid_logit))
+        return valid_auc, valid_auc
+
+    params = [*weights] if bias is None else [*weights, bias]
+    return fit_with_early_stopping(params, y.size, settings, seed, step, validate)
+
+
+def per_table_phase1(model, ids, labels, valid, valid_labels, settings, seed):
+    bias = np.array([model.bias])
+    history = per_table_fit(model.field_weights, list(ids.T), list(valid.T), np.zeros(len(ids)),
+                            np.zeros(len(valid)), labels, valid_labels, settings, seed, bias)
+    model.bias = float(bias[0])
+    return history
+
+
+def per_table_phase2(model, ids, labels, valid, valid_labels, candidates, settings, seed):
+    fields_list = [_normalize_fields(c) for c in candidates]
+    uniqs, codes, valid_codes = [], [], []
+    for fields in fields_list:
+        keys = CrossKeys([fields], model.vocab_sizes)
+        uniq, inverse = np.unique(keys.encode(ids)[:, 0], return_inverse=True)
+        uniqs.append(uniq)
+        codes.append(inverse.ravel())
+        valid_codes.append(_find(np.append(uniq, keys.span), keys.encode(valid)[:, 0]))
+    weights = [np.zeros(uniq.size) for uniq in uniqs]
+    history = per_table_fit(weights, codes, valid_codes, model.logits(ids, active=[]),
+                            model.logits(valid, active=[]), labels, valid_labels, settings, seed,
+                            None)
+    for fields, uniq, w in zip(fields_list, uniqs, weights):
+        model.attach_cross(fields, split_keys(uniq, [model.vocab_sizes[f] for f in fields]), w)
+    return history
+
+
+@st.composite
+def two_phase_cases(draw):
+    """Split ids, labels, candidates of order 2 to 4 and optimizer settings.
+
+    Field 0's largest id may appear only in the validation rows, so every
+    cross over field 0 can have no valid combination seen in train.
+    """
+    sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=5))
+    k, kv = draw(st.integers(2, 40)), draw(st.integers(2, 20))
+    ids = np.array([[draw(st.integers(0, v - 1)) for v in sizes] for _ in range(k + kv)])
+    if draw(st.booleans()):
+        ids[:k, 0] = np.minimum(ids[:k, 0], sizes[0] - 2)
+        ids[k:, 0] = sizes[0] - 1
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=k + kv, max_size=k + kv)))
+    y[k], y[k + 1] = 0, 1  # the validation AUC needs both classes
+    crosses = st.lists(st.integers(0, len(sizes) - 1), min_size=2, max_size=4, unique=True)
+    picks = [tuple(sorted(draw(crosses))) for _ in range(draw(st.integers(0, 6)))]
+    candidates = list(dict.fromkeys(picks))
+    settings = LrSettings(
+        learning_rate=draw(st.sampled_from([0.05, 0.5, 2.0])),
+        l2=draw(st.sampled_from([0.0, 0.001, 0.3])),
+        batch_size=draw(st.integers(1, k + 3)),
+        epochs=draw(st.integers(1, 4)),
+        patience=draw(st.integers(1, 3)),
+    )
+    start = [np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, -1.5, 3.0]),
+                                    min_size=v, max_size=v))) for v in sizes]
+    bias = draw(st.sampled_from([0.0, -0.7, 1.3]))
+    return sizes, ids[:k], y[:k], ids[k:], y[k:], candidates, settings, start, bias
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(two_phase_cases(), st.integers(0, 3))
+def test_flat_trainer_matches_per_table_oracle(case, seed):
+    sizes, ids, y, valid, y_valid, candidates, lr, start, bias = case
+    models = [SparseLrModel(sizes) for _ in range(2)]
+    for model in models:
+        model.field_weights = [w.copy() for w in start]
+        model.bias = bias
+    got = [train_phase1(models[0], ids, y, valid, y_valid, lr, seed),
+           train_phase2(models[0], ids, y, valid, y_valid, candidates, lr, seed)]
+    want = [per_table_phase1(models[1], ids, y, valid, y_valid, lr, seed),
+            per_table_phase2(models[1], ids, y, valid, y_valid, candidates, lr, seed)]
+    assert got == want
+    new, old = models
+    assert new.bias == old.bias
+    assert all(map(np.array_equal, new.field_weights, old.field_weights))
+    assert new.cross_fields == old.cross_fields
+    assert all(map(np.array_equal, new.cross_keys, old.cross_keys))
+    assert all(map(np.array_equal, new.cross_weights, old.cross_weights))

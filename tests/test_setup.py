@@ -4,6 +4,10 @@ The oracle below is that path: ingest wrote train.csv and valid.csv, and
 discretize read them back with load_csv, parsed every numerical cell, rendered
 each row's bin label and built the vocabulary over the rows. The coded path
 must write the same bytes, or fail with an error of the same kind.
+
+Where set-up succeeds, scoring's encoder (ExportedModel.encode, which bins
+each cell with bin_of) must give the ids set-up wrote for the train and valid
+rows, and on the test rows the ids of their apply_edges labels.
 """
 
 import tempfile
@@ -22,6 +26,7 @@ from dnn2lr.data import (
     FieldSchema,
     RawTable,
     Vocabulary,
+    load_arrays,
     load_csv,
     save_arrays,
     save_csv,
@@ -32,6 +37,7 @@ from dnn2lr.errors import Dnn2LrError
 from dnn2lr.pipeline import _check_numbers, _stage_seed, run_stage
 
 COMPARED = ("test.csv", "encoding.txt", "encoded_train.npz", "encoded_valid.npz")
+SPLIT_ARRAYS = {"ids": (np.int32, 2), "labels": (np.int8, 1)}
 
 
 def old_setup(config: PipelineConfig, work: Path) -> None:
@@ -84,10 +90,28 @@ def new_setup(config: PipelineConfig, work: Path) -> None:
     run_stage(config, "discretize")
 
 
+def check_encoders_agree(fields: list[FieldSchema], old: Path, new: Path) -> None:
+    """Scoring's encoder against set-up's ids and against the bin-label path on test."""
+    exported = model_io.load_exported(new / "encoding.txt")
+    for split in ("train", "valid"):
+        rows = load_csv(old / f"{split}.csv", fields, "y").rows
+        saved = load_arrays(new / f"encoded_{split}.npz", SPLIT_ARRAYS)
+        assert np.array_equal(exported.encode(rows), saved["ids"])
+    rows = load_csv(new / "test.csv", fields, "y").rows
+    got = exported.encode(rows)
+    for f in fields:
+        if f.kind == NUMERICAL:
+            values = np.array([parse_number(row[f.index]) for row in rows], dtype=np.float64)
+            for row, label in zip(rows, apply_edges(exported.edges_by_name[f.name], values)):
+                row[f.index] = label
+    assert np.array_equal(got, exported.vocab.encode_rows(rows))
+
+
 NAMES = ["amount", "a,b", "é\"q", "x z", "名"]
 AWKWARD = st.text(alphabet="ab,\"\n\r é中", max_size=3)
 NUMBERS = st.sampled_from(
-    ["", " 1.5 ", "1.5", "-0.0", "0.0", "0", "1e3", "1000", "nan", "-2", "3.25", " 7", "2e-1"]
+    ["", " 1.5 ", "1.5", "-0.0", "0.0", "0", "1e3", "1000", "nan", "-2", "3.25", " 7", "2e-1",
+     "-1e9", "1e9"]
 )
 
 
@@ -117,3 +141,5 @@ def test_coded_setup_writes_the_bytes_of_the_split_csv_path(table, seed):
                                     workdir=root / name, seed=seed)
             results.append(outcome(setup, config, root / name))
         assert results[0] == results[1]
+        if isinstance(results[1], dict):
+            check_encoders_agree(table.fields, root / "old", root / "new")
