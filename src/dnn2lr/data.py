@@ -17,6 +17,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, count, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -68,9 +69,6 @@ class RawTable:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def column(self, index: int) -> list[str]:
-        return [row[index] for row in self.rows]
 
 
 @dataclass
@@ -126,9 +124,9 @@ class Dataset:
         return int(self.ids.shape[0])
 
 
-def text_lines(path, error: type = IngestionError, newline: str | None = None):
+def text_lines(path, error: type = IngestionError):
     """Yield the lines of a UTF-8 text file; any other bytes raise ``error`` naming the path."""
-    with open(path, encoding="utf-8", newline=newline) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             yield from handle
         except UnicodeDecodeError:
@@ -144,35 +142,34 @@ def load_csv(path, fields: list[FieldSchema], label: str) -> RawTable:
     """
     check_schema(fields)
     ordered = sorted(fields, key=lambda f: f.index)
-    reader = csv.reader(text_lines(path, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestionError(f"{path}: empty file") from None
-    positions = {}
-    for name in [f.name for f in ordered] + [label]:
-        if name not in header:
-            kind = "label" if name == label else "field"
-            raise IngestionError(f"{path}: header missing {kind} column {name!r}")
-        positions[name] = header.index(name)
-    label_pos = positions[label]
-    field_pos = [positions[f.name] for f in ordered]
-    rows: list[list[str]] = []
-    labels: list[int] = []
-    lines = array("q")  # 8 bytes a row: no int object is kept per row
-    lineno = reader.line_num + 1  # a quoted cell can span lines: count the file's own
-    for cells in reader:
-        if len(cells) != len(header):
-            raise IngestionError(
-                f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
-            )
-        raw = cells[label_pos].strip()
-        if raw not in ("0", "1"):
-            raise LabelError(f"{path}: line {lineno}: label must be 0 or 1, got {raw!r}")
-        labels.append(int(raw))
-        rows.append([cells[p] for p in field_pos])
-        lines.append(lineno)
-        lineno = reader.line_num + 1
+    rows, labels, lines = [], [], array("q")  # lines: 8 bytes a row, no int object per row
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: empty file")
+            for name in [f.name for f in ordered] + [label]:
+                if name not in header:
+                    kind = "label" if name == label else "field"
+                    raise IngestionError(f"{path}: header missing {kind} column {name!r}")
+            pick = itemgetter(*[header.index(f.name) for f in ordered], header.index(label))
+            lineno = reader.line_num + 1  # a quoted cell can span lines: count the file's own
+            for cells in reader:
+                if len(cells) != len(header):
+                    raise IngestionError(
+                        f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
+                    )
+                *row, raw = pick(cells)
+                raw = raw.strip()
+                if raw not in ("0", "1"):
+                    raise LabelError(f"{path}: line {lineno}: label must be 0 or 1, got {raw!r}")
+                labels.append(int(raw))
+                rows.append(row)
+                lines.append(lineno)
+                lineno = reader.line_num + 1
+        except UnicodeDecodeError:
+            raise IngestionError(f"{path}: not UTF-8 text") from None
     return RawTable(fields=list(ordered), rows=rows, labels=labels, lines=lines)
 
 
@@ -261,6 +258,9 @@ class Vocabulary:
     def sizes(self) -> list[int]:
         return [self.size(f) for f in range(self.n_fields)]
 
+    def lookups(self) -> list[dict[str, int]]:  # a new list of each field's value -> id dict
+        return list(self._to_id)
+
     def encode_value(self, f: int, value: str) -> int:
         return self._to_id[f].get(value, UNSEEN_ID)
 
@@ -275,11 +275,6 @@ class Vocabulary:
             raise EncodingError(f"field {self.field_names[f]!r}: id {fid} out of range")
         return self._to_value[f][idx]
 
-    def encode_rows(self, rows: list[list[str]]) -> np.ndarray:
-        flat = (t.get(v, UNSEEN_ID) for row in rows for t, v in zip(self._to_id, row))
-        ids = np.fromiter(flat, dtype=np.int32, count=len(rows) * self.n_fields)
-        return ids.reshape(len(rows), self.n_fields)
-
     def encode_table(self, table: CodedTable) -> Dataset:
         """Look each field's values up once, then gather the ids by code."""
         ids = np.empty(table.codes.shape, dtype=np.int32)
@@ -293,6 +288,7 @@ class Vocabulary:
 # plain, but raw categories can contain anything.
 _ESCAPES = [("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"), ("|", "\\|"), (",", "\\,")]
 _UNESCAPES = {coded[1]: plain for plain, coded in _ESCAPES}
+_ESCAPED = re.compile(r"\\(.)", flags=re.S)
 
 
 def escape(value: str) -> str:
@@ -303,7 +299,9 @@ def escape(value: str) -> str:
 
 def unescape(value: str) -> str:
     """Inverse of escape; a backslash before any other character stays as it is."""
-    return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m.group(1), m.group(0)), value, flags=re.S)
+    if "\\" not in value:
+        return value  # most values: nothing to undo
+    return _ESCAPED.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(0)), value)
 
 
 # Every machine-read artifact is one .npz container of named arrays.

@@ -83,8 +83,8 @@ def bin_index(edges: BinEdges, values: np.ndarray) -> np.ndarray:
 def bin_of(edges: BinEdges, value: float) -> int:
     """bin_index of one value, without numpy: bisect_left counts the cuts below it.
 
-    ExportedModel.encode bins cells one by one: whole columns through bin_index
-    encode a holdout faster but a single row about three times slower.
+    ExportedModel.encode bins each distinct cell of a batch with it: whole columns
+    through bin_index encode a holdout faster but a single row about three times slower.
     """
     return -1 if math.isnan(value) else bisect.bisect_left(edges.cuts, value)
 

@@ -21,22 +21,25 @@ values. The ``discretize`` stage writes its vocabulary and bin edges in this
 same grammar, as a scorecard whose weights and bias are all 0.0.
 
 Loading compiles the file into id tables. The ``w`` lines rebuild the
-vocabulary: per field the empty value is the missing id 0 and the other
-values get ids 2, 3, ... in file order, which is the id order export writes;
-the unseen id 1 weighs 0.0. The weights and ``cw`` tables become a
-SparseLrModel over those ids, compiled once for scoring with and once
-without its crosses. Scoring raw rows encodes them through the vocabulary
-(numerical cells through their bin edges) and sums one vectorized lookup per
-row: ``bias + (fields in index order + crosses in file order)``, added term
-by term. Loading rejects a non-finite weight, a ``cw`` value absent from its
-field's ``w`` lines, a ``cross`` naming an unknown field, ``edges`` for a
-categorical field and a repeated ``bias``, ``edges`` or missing-value ``w``.
+vocabulary: per field the empty value is the missing id 0 and the other values
+get ids 2, 3, ... in file order, which is the id order export writes; the
+unseen id 1 weighs 0.0. The weights and ``cw`` tables become a SparseLrModel
+over those ids, compiled once for scoring with and once without its crosses.
+Scoring refuses a raw row of the wrong length and looks every cell up in one
+pass; a numerical field's lookup maps the batch's distinct cells to their bins'
+ids, so each is parsed and binned once. Each row's score is ``bias + (fields in
+index order + crosses in file order)``, added term by term. Loading rejects a
+non-finite weight, a ``cw`` value absent from its field's ``w`` lines, a
+``cross`` naming an unknown field, ``edges`` for a categorical field and a
+repeated ``bias``, ``edges`` or missing-value ``w``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import chain, cycle, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,7 +57,7 @@ from .data import (
     unescape,
 )
 from .discretize import BinEdges, bin_labels, bin_of, parse_number
-from .errors import ConfigError, Dnn2LrError, IngestionError
+from .errors import ConfigError, Dnn2LrError, EncodingError, IngestionError
 from .network import stable_sigmoid
 
 _HEADER = "# white-box logistic scorecard"
@@ -105,6 +108,8 @@ def export_model(
 
 def _split_escaped(text: str, sep: str) -> list[str]:
     """Split on sep, honouring backslash escapes produced by escape()."""
+    if "\\" not in text:
+        return text.split(sep)
     parts = [""]
     for token in re.findall(r"\\.|.", text, flags=re.S):
         if token == sep:
@@ -125,23 +130,26 @@ class ExportedModel:
         self.edges_by_name = edges_by_name
         self.model = model
         self._scorers = {True: model.compile(), False: model.compile([])}
-        self._numeric = []  # (field, edges, id of each bin, then of missing: bin index -1)
+        self._numeric = []  # (field, cell getter, edges, id of each bin, then of missing: bin -1)
         for f in fields:
             if f.kind == NUMERICAL:
                 edges = edges_by_name[f.name]
                 bins = [vocab.encode_value(f.index, label) for label in bin_labels(edges)]
-                self._numeric.append((f, edges, bins + [MISSING_ID]))
+                self._numeric.append((f, itemgetter(f.index), edges, bins + [MISSING_ID]))
 
     def encode(self, rows: list[list[str]]) -> np.ndarray:
-        """Raw cells -> vocabulary ids; numerical cells go through their bins."""
-        ids = self.vocab.encode_rows(rows)
-        numeric = self._numeric
-        if numeric and rows:
-            ids[:, [f.index for f, _, _ in numeric]] = [
-                [bins[bin_of(e, parse_number(row[f.index], f.name))] for f, e, bins in numeric]
-                for row in rows
-            ]
-        return ids
+        """Raw cells -> vocabulary ids in one pass; a batch's distinct numbers are binned once."""
+        n = len(self.fields)
+        for k, row in enumerate(rows):
+            if len(row) != n:
+                raise EncodingError(f"row {k} holds {len(row)} cells, expected {n}")
+        tables = self.vocab.lookups()  # a new list: each numerical field's lookup is replaced
+        for f, cell_of, edges, bins in self._numeric:
+            tables[f.index] = cells = dict.fromkeys(map(cell_of, rows))
+            for cell in cells:
+                cells[cell] = bins[bin_of(edges, parse_number(cell, f.name))]
+        flat = map(dict.get, cycle(tables), chain.from_iterable(rows), repeat(UNSEEN_ID))
+        return np.fromiter(flat, np.int32, n * len(rows)).reshape(len(rows), n)
 
     def logits(self, rows: list[list[str]], include_cross: bool = True) -> np.ndarray:
         return self._scorers[include_cross].logits(self.encode(rows))

@@ -164,7 +164,7 @@ def _check_numbers(path, table: RawTable) -> None:
     for f in table.fields:
         if f.kind != NUMERICAL:
             continue
-        column = table.column(f.index)
+        column = [row[f.index] for row in table.rows]
         for cell in dict.fromkeys(column):
             try:
                 parse_number(cell, f.name)

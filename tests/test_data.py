@@ -1,9 +1,13 @@
 """Schema, CSV ingestion, splitting, vocabulary encoding, the array container."""
 
+import csv
 import io
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnn2lr.crosslr import SparseLrModel
 from dnn2lr.data import (
@@ -25,7 +29,7 @@ from dnn2lr.data import (
     split_table,
 )
 from dnn2lr.errors import ConfigError, EncodingError, IngestionError, LabelError
-from dnn2lr.model_io import export_model, load_exported
+from dnn2lr.model_io import ExportedModel, export_model, load_exported
 
 
 def two_field_schema():
@@ -107,6 +111,101 @@ class TestCsv:
             load_csv(path, two_field_schema(), label="label")
 
 
+def row_loop_load_csv(path, fields, label):
+    """load_csv as it was: csv.reader over a line generator, one list comprehension per row."""
+
+    def text_lines():
+        with open(path, encoding="utf-8", newline="") as handle:
+            try:
+                yield from handle
+            except UnicodeDecodeError:
+                raise IngestionError(f"{path}: not UTF-8 text") from None
+
+    ordered = sorted(fields, key=lambda f: f.index)
+    reader = csv.reader(text_lines())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: empty file") from None
+    positions = {}
+    for name in [f.name for f in ordered] + [label]:
+        if name not in header:
+            kind = "label" if name == label else "field"
+            raise IngestionError(f"{path}: header missing {kind} column {name!r}")
+        positions[name] = header.index(name)
+    label_pos = positions[label]
+    field_pos = [positions[f.name] for f in ordered]
+    rows, labels, lines = [], [], array("q")
+    lineno = reader.line_num + 1
+    for cells in reader:
+        if len(cells) != len(header):
+            raise IngestionError(
+                f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
+            )
+        raw = cells[label_pos].strip()
+        if raw not in ("0", "1"):
+            raise LabelError(f"{path}: line {lineno}: label must be 0 or 1, got {raw!r}")
+        labels.append(int(raw))
+        rows.append([cells[p] for p in field_pos])
+        lines.append(lineno)
+        lineno = reader.line_num + 1
+    return RawTable(fields=list(ordered), rows=rows, labels=labels, lines=lines)
+
+
+LABELS = ["0", "1", " 1", "0 "]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes with quoted awkward cells, either line ending, extra columns anywhere.
+
+    Some draws break one thing: a row's cell count, a label, a UTF-8 byte, a
+    header column, or the whole file, which is then empty.
+    """
+    fields = two_field_schema()
+    extra = draw(st.integers(0, 2))
+    columns = draw(st.permutations(["color", "shape", "label", "x1", "x2"][: 3 + extra]))
+    fault = draw(st.sampled_from([None] * 4 + ["count", "label", "byte", "column", "empty"]))
+    if fault == "column":
+        columns.remove(draw(st.sampled_from(["color", "shape", "label"])))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    cells = st.text(alphabet='a,"\n é' + ending, max_size=4)  # a lone CR only where writer quotes it
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        rows.append([draw(st.sampled_from(LABELS) if c == "label" else cells) for c in columns])
+    if fault in ("count", "label") and rows:
+        k = draw(st.integers(0, len(rows) - 1))
+        if fault == "count":
+            rows[k] = rows[k][:-1] if draw(st.booleans()) else rows[k] + ["extra"]
+        elif "label" in columns:
+            rows[k][columns.index("label")] = draw(st.sampled_from(["2", "", "yes"]))
+    handle = io.StringIO()
+    csv.writer(handle, lineterminator=ending).writerows([columns] + rows)
+    data = handle.getvalue().encode("utf-8")
+    if fault == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return fields, b"" if fault == "empty" else data
+
+
+class TestCsvProperty:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(csv_files())
+    def test_load_csv_equals_the_row_loop(self, tmp_path_factory, case):
+        fields, data = case
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(data)
+        outcomes = []
+        for load in (row_loop_load_csv, load_csv):
+            try:
+                table = load(path, fields, "label")
+            except (IngestionError, LabelError) as err:
+                outcomes.append((type(err), str(err)))
+            else:
+                outcomes.append((table.rows, table.labels, list(table.lines)))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestSplit:
     def test_fractions_and_determinism(self):
         fields = two_field_schema()
@@ -184,7 +283,8 @@ class TestVocabulary:
 
     def test_encode_rows_matrix(self):
         vocab = Vocabulary.build(["color", "shape"], [["red", "box"], ["blue", ""]])
-        ids = vocab.encode_rows([["blue", "box"], ["green", ""]])
+        card = ExportedModel(two_field_schema(), vocab, {}, SparseLrModel(vocab.sizes()))
+        ids = card.encode([["blue", "box"], ["green", ""]])
         assert ids.dtype == np.int32
         assert ids.tolist() == [[3, 2], [UNSEEN_ID, MISSING_ID]]
 

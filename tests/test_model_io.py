@@ -6,12 +6,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnn2lr.crosslr import SparseLrModel, split_keys
-from dnn2lr.data import CATEGORICAL, NUMERICAL, FieldSchema, Vocabulary, escape, unescape
-from dnn2lr.discretize import BinEdges, apply_edges, bin_labels, parse_number
-from dnn2lr.errors import ConfigError, IngestionError
+from dnn2lr.data import (
+    CATEGORICAL,
+    MISSING_ID,
+    NUMERICAL,
+    FieldSchema,
+    Vocabulary,
+    escape,
+    unescape,
+)
+from dnn2lr.discretize import BinEdges, apply_edges, bin_labels, bin_of, parse_number
+from dnn2lr.errors import ConfigError, EncodingError, IngestionError
 from dnn2lr.cli import main
-from dnn2lr.model_io import _split_escaped, export_model, load_exported
+from dnn2lr.model_io import ExportedModel, _split_escaped, export_model, load_exported
 from dnn2lr.network import stable_sigmoid
+
+
+def encode_rows(vocab: Vocabulary, rows) -> np.ndarray:
+    """Each row's cells looked up one at a time: the old row encoder of the vocabulary."""
+    flat = (vocab.encode_value(f, value) for row in rows for f, value in enumerate(row))
+    ids = np.fromiter(flat, dtype=np.int32, count=len(rows) * vocab.n_fields)
+    return ids.reshape(len(rows), vocab.n_fields)
+
+
+def row_by_row_encode(card: ExportedModel, rows) -> np.ndarray:
+    """ExportedModel.encode as it was: every cell looked up, then each row's numbers binned."""
+    ids = encode_rows(card.vocab, rows)
+    numeric = []
+    for f in card.fields:
+        if f.kind == NUMERICAL:
+            edges = card.edges_by_name[f.name]
+            bins = [card.vocab.encode_value(f.index, label) for label in bin_labels(edges)]
+            numeric.append((f, edges, bins + [MISSING_ID]))
+    if numeric and rows:
+        ids[:, [f.index for f, _, _ in numeric]] = [
+            [bins[bin_of(e, parse_number(row[f.index], f.name))] for f, e, bins in numeric]
+            for row in rows
+        ]
+    return ids
 
 
 def small_setup():
@@ -88,7 +120,8 @@ class TestRoundTrip:
             ["green", "10", "box"],  # unseen color scores zero for that field
         ]
         # independent recomputation against the in-memory sparse model
-        ids = vocab.encode_rows(
+        ids = encode_rows(
+            vocab,
             [
                 ["red", "b0", "box"],
                 ["blue", "b1", "ball"],
@@ -162,6 +195,14 @@ class TestScoring:
         got = model.logits([["20"], ["30"], ["45"], ["75"], [""]])
         assert got.tolist() == [-1.0, -1.0, 0.0, 1.0, 9.0]
         assert model.logits([]).tolist() == []
+
+    @pytest.mark.parametrize("bad", [["a", "b", "c"], ["a"]], ids=["long", "short"])
+    @pytest.mark.parametrize("where", [0, 1], ids=["alone", "mid-batch"])
+    def test_row_of_wrong_length_refused(self, tmp_path, bad, where):
+        model = load_text(tmp_path, XY_MODEL.format(bias=0.5, wa=1.0))
+        rows = [bad] if where == 0 else [["a", "b"], bad, ["a", "z"]]
+        with pytest.raises(EncodingError, match=f"row {where} holds {len(bad)} cells, expected 2"):
+            model.score_rows(rows)
 
 
 class TestLoadErrors:
@@ -252,7 +293,7 @@ def scorecards(draw):
     for w in model.field_weights:
         w[:] = rng.normal(size=w.size)
         w[1] = 0.0  # the unseen id is never trained
-    train_ids = vocab.encode_rows(binned(train))
+    train_ids = encode_rows(vocab, binned(train))
     crosses = draw(st.lists(st.lists(st.integers(0, n_cat), min_size=2, max_size=4, unique=True)
                             .map(lambda c: tuple(sorted(c))), max_size=3, unique=True))
     for cross in crosses:
@@ -260,7 +301,7 @@ def scorecards(draw):
         keep = combos[rng.random(len(combos)) < 0.7]
         model.attach_cross(cross, keep, rng.normal(size=len(keep)))
     selected = draw(st.permutations(crosses))
-    return fields, vocab, edges, model, selected, scored, vocab.encode_rows(binned(scored))
+    return fields, vocab, edges, model, selected, scored, encode_rows(vocab, binned(scored))
 
 
 class TestScorerProperty:
@@ -340,3 +381,53 @@ class TestEncodingFile:
         export_model(again, SparseLrModel(back.vocab.sizes()), back.fields, back.vocab,
                      back.edges_by_name, [])
         assert again.read_bytes() == path.read_bytes()
+
+
+ON_CUTS = [-3.0, 0.0, 1.5, 2.0, 7.25]
+NUMBER_CELLS = ["", "  ", "0", "-0.0", "0.0", "-0", "1.5", " 1.5", "1.5 ", "2", "2.0", "-3",
+                "7.25", "7.3", "-1e9", "1e9", "inf", "-inf", "nan", "NaN", "0.75"]
+BAD_NUMBERS = ["abc", "1,5", "--1", "b0"]
+
+
+@st.composite
+def cards_and_batches(draw):
+    """A loaded scorecard of mixed kinds, and a batch of raw rows to encode with it."""
+    kinds = draw(st.lists(st.sampled_from([CATEGORICAL, NUMERICAL]), min_size=1, max_size=5))
+    fields = [FieldSchema(f"f{i}", i, kind) for i, kind in enumerate(kinds)]
+    edges, numbers = {}, NUMBER_CELLS + (BAD_NUMBERS if draw(st.booleans()) else [])
+    for f in fields:
+        if f.kind == NUMERICAL:
+            cuts = sorted(draw(st.sets(st.sampled_from(ON_CUTS), max_size=4)))
+            if 0.0 in cuts and draw(st.booleans()):
+                cuts[cuts.index(0.0)] = -0.0
+            edges[f.name] = BinEdges(field=f.index, granularity=10, cuts=tuple(cuts))
+    learned = [  # some bins left out of the vocabulary: their id is the unseen one
+        st.sampled_from(bin_labels(edges[f.name])) if f.kind == NUMERICAL
+        else st.text(alphabet="ab ,", max_size=2)
+        for f in fields
+    ]
+    train = draw(st.lists(st.tuples(*learned).map(list), max_size=8))
+    vocab = Vocabulary.build([f.name for f in fields], train)
+    card = ExportedModel(fields, vocab, edges, SparseLrModel(vocab.sizes()))
+    raw = [  # categories unseen in training among them; few distinct numbers, so repeats
+        st.sampled_from(numbers) if f.kind == NUMERICAL else st.text(alphabet="ab ,c", max_size=2)
+        for f in fields
+    ]
+    return card, draw(st.lists(st.tuples(*raw).map(list), max_size=30))
+
+
+class TestEncoderProperty:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(cards_and_batches())
+    def test_one_pass_encode_equals_row_by_row(self, case):
+        card, rows = case
+        try:
+            want = row_by_row_encode(card, rows)
+        except IngestionError:
+            with pytest.raises(IngestionError):
+                card.encode(rows)
+            return
+        assert np.array_equal(card.encode(rows), want)
+        assert card.encode([]).shape == (0, len(card.fields))
+        for k, row in enumerate(rows):
+            assert np.array_equal(card.encode([row]), want[k : k + 1])

@@ -36,6 +36,13 @@ from dnn2lr.discretize import apply_edges, parse_number, select_granularity
 from dnn2lr.errors import Dnn2LrError
 from dnn2lr.pipeline import _check_numbers, _stage_seed, run_stage
 
+def encode_rows(vocab: Vocabulary, rows) -> np.ndarray:
+    """Each row's cells looked up one at a time: the old row encoder of the vocabulary."""
+    flat = (vocab.encode_value(f, value) for row in rows for f, value in enumerate(row))
+    ids = np.fromiter(flat, dtype=np.int32, count=len(rows) * vocab.n_fields)
+    return ids.reshape(len(rows), vocab.n_fields)
+
+
 COMPARED = ("test.csv", "encoding.txt", "encoded_train.npz", "encoded_valid.npz")
 SPLIT_ARRAYS = {"ids": (np.int32, 2), "labels": (np.int8, 1)}
 
@@ -72,7 +79,7 @@ def old_setup(config: PipelineConfig, work: Path) -> None:
         edges_by_name, [],
     )
     for name, part in (("encoded_train.npz", train_part), ("encoded_valid.npz", valid_part)):
-        ids = vocab.encode_rows(part.rows)
+        ids = encode_rows(vocab, part.rows)
         save_arrays(work / name, ids=ids, labels=np.asarray(part.labels, dtype=np.int8))
 
 
@@ -104,7 +111,7 @@ def check_encoders_agree(fields: list[FieldSchema], old: Path, new: Path) -> Non
             values = np.array([parse_number(row[f.index]) for row in rows], dtype=np.float64)
             for row, label in zip(rows, apply_edges(exported.edges_by_name[f.name], values)):
                 row[f.index] = label
-    assert np.array_equal(got, exported.vocab.encode_rows(rows))
+    assert np.array_equal(got, encode_rows(exported.vocab, rows))
 
 
 NAMES = ["amount", "a,b", "é\"q", "x z", "名"]
