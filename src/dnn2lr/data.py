@@ -3,6 +3,10 @@
 All features are ultimately categorical. Numerical fields get binned elsewhere
 (see discretize.py); by the time rows reach the vocabulary every cell is a
 string category, with the empty string standing for a missing value.
+
+One checked parser, ``csv_records``, reads every CSV. ``load_csv`` collects
+its rows as strings; ``code_records`` turns them into codes one block of
+rows at a time, so set-up never holds the raw table as Python strings.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import count, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -78,6 +82,7 @@ class CodedTable:
     codes: np.ndarray  # (K, n) int32
     values: list[list[str]]  # per field, the cells its codes stand for
     labels: np.ndarray  # (K,) int8, values 0/1
+    lines: Sequence[int] = ()  # each row's first line in the file it was read from
 
     def first_seen(self, f: int) -> list[str]:
         """Field f's distinct cells in the order the rows first show them."""
@@ -86,31 +91,57 @@ class CodedTable:
         ordered = column[np.sort(first)].tolist()
         return list(dict.fromkeys(map(self.values[f].__getitem__, ordered)))
 
+    def take(self, *parts: np.ndarray) -> list["CodedTable"]:
+        """One table per array of row indices, renumbered together by first sight.
 
-_CODING_BLOCK = 1024  # rows transposed at once: few live iterators, all in cache
+        The tables share their values: each field's distinct cells in the
+        order the parts' rows, taken in turn, first show them.
+        """
+        codes = self.codes[np.concatenate(parts)]
+        values = []
+        for f, column in enumerate(codes.T):
+            seen, first = np.unique(column, return_index=True)
+            kept = seen[np.argsort(first)]
+            renumber = np.zeros(len(self.values[f]), dtype=np.int32)
+            renumber[kept] = np.arange(kept.size, dtype=np.int32)
+            codes[:, f] = renumber[column]
+            values.append(list(map(self.values[f].__getitem__, kept.tolist())))
+        cuts = np.cumsum([part.size for part in parts])[:-1]
+        return [
+            CodedTable(codes=piece, values=values, labels=self.labels[part])
+            for piece, part in zip(np.split(codes, cuts), parts)
+        ]
+
+    def rows(self) -> list[tuple[str, ...]]:
+        """Each row's cells, decoded by code."""
+        columns = [np.array(v, dtype=object)[c] for v, c in zip(self.values, self.codes.T)]
+        return list(zip(*columns))
 
 
-def code_tables(tables: Sequence[RawTable]) -> list[CodedTable]:
-    """Code the tables' rows together, one column of a block of rows at a time.
+_CODING_BLOCK = 1024  # raw rows held at once: few live strings, all in cache
 
-    Each field's values are its distinct cells in first-seen order over the
-    tables in turn, and every returned table shares them.
+
+def code_records(records, n_fields: int) -> CodedTable:
+    """Code csv_records' records a block of rows at a time, one column at a time.
+
+    Each field's values are its distinct cells in first-seen order, so a
+    cell's code is its rank in that order.
     """
-    rows = list(chain.from_iterable(t.rows for t in tables))
-    codes = np.empty((len(rows), len(tables[0].fields)), dtype=np.int32)
     # A missing key gets the next code: one lookup per cell codes by first sight.
-    indexes = [defaultdict(count().__next__) for _ in tables[0].fields]
-    for start in range(0, len(rows), _CODING_BLOCK):
-        block = rows[start : start + _CODING_BLOCK]
-        for f, column in enumerate(zip(*block)):
-            lookup = map(indexes[f].__getitem__, column)
-            codes[start : start + len(block), f] = np.fromiter(lookup, np.int32, len(block))
-    values = [list(index) for index in indexes]
-    cuts = np.cumsum([len(t) for t in tables])[:-1]
-    return [
-        CodedTable(codes=part, values=values, labels=np.asarray(t.labels, dtype=np.int8))
-        for part, t in zip(np.split(codes, cuts), tables)
-    ]
+    indexes = [defaultdict(count().__next__) for _ in range(n_fields)]
+    blocks, labels, lines = [np.empty((0, n_fields), dtype=np.int32)], array("b"), array("q")
+    while block := list(islice(records, _CODING_BLOCK)):
+        rows, block_labels, block_lines = zip(*block)
+        labels.extend(block_labels)
+        lines.extend(block_lines)
+        codes = np.empty((len(block), n_fields), dtype=np.int32)
+        for f, column in enumerate(zip(*rows)):
+            codes[:, f] = np.fromiter(map(indexes[f].__getitem__, column), np.int32, len(block))
+        blocks.append(codes)
+    return CodedTable(
+        codes=np.concatenate(blocks), values=[list(index) for index in indexes],
+        labels=np.array(labels, dtype=np.int8), lines=lines,
+    )
 
 
 @dataclass
@@ -133,16 +164,16 @@ def text_lines(path, error: type = IngestionError):
             raise error(f"{path}: not UTF-8 text") from None
 
 
-def load_csv(path, fields: list[FieldSchema], label: str) -> RawTable:
-    """Read a CSV file into a RawTable.
+def csv_records(path, fields: list[FieldSchema], label: str):
+    """Yield each record of a CSV file: its cells in schema order, its label, its first line.
 
     The header must contain every schema field plus the label column; extra
     columns are ignored. Empty cells mean "missing". Labels must be the
-    literal strings "0" or "1".
+    literal strings "0" or "1". Every check fails before its record is
+    yielded; a line is the file's own, as a quoted cell can span lines.
     """
     check_schema(fields)
     ordered = sorted(fields, key=lambda f: f.index)
-    rows, labels, lines = [], [], array("q")  # lines: 8 bytes a row, no int object per row
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -154,7 +185,7 @@ def load_csv(path, fields: list[FieldSchema], label: str) -> RawTable:
                     kind = "label" if name == label else "field"
                     raise IngestionError(f"{path}: header missing {kind} column {name!r}")
             pick = itemgetter(*[header.index(f.name) for f in ordered], header.index(label))
-            lineno = reader.line_num + 1  # a quoted cell can span lines: count the file's own
+            lineno = reader.line_num + 1
             for cells in reader:
                 if len(cells) != len(header):
                     raise IngestionError(
@@ -164,13 +195,21 @@ def load_csv(path, fields: list[FieldSchema], label: str) -> RawTable:
                 raw = raw.strip()
                 if raw not in ("0", "1"):
                     raise LabelError(f"{path}: line {lineno}: label must be 0 or 1, got {raw!r}")
-                labels.append(int(raw))
-                rows.append(row)
-                lines.append(lineno)
+                yield row, int(raw), lineno
                 lineno = reader.line_num + 1
         except UnicodeDecodeError:
             raise IngestionError(f"{path}: not UTF-8 text") from None
-    return RawTable(fields=list(ordered), rows=rows, labels=labels, lines=lines)
+
+
+def load_csv(path, fields: list[FieldSchema], label: str) -> RawTable:
+    """Read a CSV file into a RawTable; csv_records says what it checks."""
+    rows, labels, lines = [], [], array("q")  # lines: 8 bytes a row, no int object per row
+    for row, y, lineno in csv_records(path, fields, label):
+        rows.append(row)
+        labels.append(y)
+        lines.append(lineno)
+    ordered = sorted(fields, key=lambda f: f.index)
+    return RawTable(fields=ordered, rows=rows, labels=labels, lines=lines)
 
 
 def save_csv(path, table: RawTable, label: str = "y") -> None:
@@ -182,10 +221,10 @@ def save_csv(path, table: RawTable, label: str = "y") -> None:
             writer.writerow(list(row) + [y])
 
 
-def split_table(
-    table: RawTable, fractions: tuple[float, float, float], seed: int
-) -> tuple[RawTable, RawTable, RawTable]:
-    """Shuffle rows once and cut them into train/valid/test parts.
+def split_rows(
+    k: int, fractions: tuple[float, float, float], seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shuffle k row indices once and cut them into train/valid/test parts.
 
     Fractions must be positive and sum to 1 (within 1e-9). Boundaries are
     round(K * f1) and round(K * (f1 + f2)), so the three parts are disjoint
@@ -194,7 +233,6 @@ def split_table(
     f1, f2, f3 = fractions
     if min(f1, f2, f3) <= 0 or abs(f1 + f2 + f3 - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must be positive and sum to 1, got {fractions}")
-    k = len(table)
     if k < 3:
         raise IngestionError(f"need at least 3 rows to split, got {k}")
     order = np.random.default_rng(seed).permutation(k)
@@ -202,14 +240,20 @@ def split_table(
     i2 = int(round(k * (f1 + f2)))
     i1 = max(1, min(i1, k - 2))
     i2 = max(i1 + 1, min(i2, k - 1))
-    parts = (order[:i1], order[i1:i2], order[i2:])
+    return order[:i1], order[i1:i2], order[i2:]
+
+
+def split_table(
+    table: RawTable, fractions: tuple[float, float, float], seed: int
+) -> tuple[RawTable, RawTable, RawTable]:
+    """The table's rows cut by split_rows into train/valid/test tables."""
     return tuple(
         RawTable(
             fields=table.fields,
             rows=[table.rows[i] for i in idx],
             labels=[table.labels[i] for i in idx],
         )
-        for idx in parts
+        for idx in split_rows(len(table), fractions, seed)
     )
 
 
@@ -306,8 +350,21 @@ def unescape(value: str) -> str:
 
 # Every machine-read artifact is one .npz container of named arrays.
 def save_arrays(path, **arrays) -> None:
-    """Write named arrays into one .npz container; equal arrays give equal bytes."""
-    np.savez(path, **arrays)
+    """Write named arrays into one .npz container, the bytes np.savez would write.
+
+    Equal arrays give equal bytes. A C-contiguous array goes out from its own
+    memory, with no copy of it as a bytes object.
+    """
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, value in arrays.items():
+            value = np.asanyarray(value)
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                if value.flags.c_contiguous:
+                    header = np.lib.format.header_data_from_array_1_0(value)
+                    np.lib.format.write_array_header_1_0(member, header)
+                    member.write(memoryview(value.reshape(-1)).cast("B"))
+                else:
+                    np.lib.format.write_array(member, value)
 
 
 def load_arrays(path, spec: dict[str, tuple[type, int]]) -> dict[str, np.ndarray]:

@@ -30,7 +30,8 @@ from .candidates import read_cross_lines, write_cross_lines
 from .config import PipelineConfig
 from .crosslr import SparseLrModel, split_keys, train_phase1, train_phase2
 from .data import MISSING, NUMERICAL, CodedTable, Dataset, FieldSchema, RawTable, Vocabulary
-from .data import code_tables, load_arrays, load_csv, save_arrays, save_csv, split_table
+from .data import code_records, csv_records, load_arrays, load_csv, save_arrays, save_csv
+from .data import split_rows
 from .discretize import apply_edges, parse_number, select_granularity
 from .errors import ConfigError, Dnn2LrError, IngestionError, StageError
 from .inconsistency import compute_inconsistency, feasible_matrix
@@ -159,17 +160,19 @@ def _read_matrix(path: Path, n_fields: int) -> np.ndarray:
     return d
 
 
-def _check_numbers(path, table: RawTable) -> None:
-    """Parse each distinct numerical cell once; a bad one fails naming its file and line."""
-    for f in table.fields:
+def _check_numbers(path, fields: list[FieldSchema], table: CodedTable) -> None:
+    """Parse each distinct numerical cell of code_records' table once, in first-seen order.
+
+    A bad one fails naming its file and the line of the first row holding it.
+    """
+    for f in fields:
         if f.kind != NUMERICAL:
             continue
-        column = [row[f.index] for row in table.rows]
-        for cell in dict.fromkeys(column):
+        for code, cell in enumerate(table.values[f.index]):
             try:
                 parse_number(cell, f.name)
             except IngestionError as err:
-                line = table.lines[column.index(cell)]
+                line = table.lines[int(np.argmax(table.codes[:, f.index] == code))]
                 raise IngestionError(f"{path}: line {line}: {err}") from None
 
 
@@ -178,20 +181,27 @@ def _check_numbers(path, table: RawTable) -> None:
 
 
 def stage_ingest(config: PipelineConfig, ws: Workspace) -> None:
-    """Load the raw CSV, check its numbers, shuffle, code train and valid, write test.csv."""
+    """Code the raw CSV as it is read, check its numbers, shuffle, write train and valid codes.
+
+    The raw rows are held one block at a time (see data.code_records). The
+    test rows are decoded by code and written back out as test.csv.
+    """
     if config.data is None:
         raise IngestionError("no data file configured (set data = <path> or pass --data)")
     if not Path(config.data).is_file():
         raise IngestionError(f"data file not found or not a file: {config.data}")
-    table = load_csv(config.data, config.fields, config.label)
-    _check_numbers(config.data, table)
-    train, valid, test = split_table(table, config.split, seed=_stage_seed(config, "ingest"))
+    fields = sorted(config.fields, key=lambda f: f.index)
+    records = csv_records(config.data, fields, config.label)
+    table = code_records(records, len(fields))  # every read error before any number check
+    _check_numbers(config.data, fields, table)
+    train, valid, test = split_rows(len(table.codes), config.split, _stage_seed(config, "ingest"))
     try:
         ws.root.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise StageError(f"work directory {ws.root}: {err.strerror}") from None
-    save_csv(ws.test_csv, test, label=config.label)
-    _write_splits(ws.splits, table.fields, *code_tables([train, valid]))
+    (test,) = table.take(test)
+    save_csv(ws.test_csv, RawTable(fields, test.rows(), test.labels.tolist()), label=config.label)
+    _write_splits(ws.splits, fields, *table.take(train, valid))
 
 
 def stage_discretize(config: PipelineConfig, ws: Workspace) -> None:
@@ -389,7 +399,8 @@ def _encode_csv(exported: model_io.ExportedModel, path, fields, label: str) -> t
     try:
         ids = exported.encode(table.rows)
     except IngestionError:
-        _check_numbers(path, table)
+        records = zip(table.rows, table.labels, table.lines)
+        _check_numbers(path, table.fields, code_records(records, len(table.fields)))
         raise
     return np.asarray(table.labels), ids
 

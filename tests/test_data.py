@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dnn2lr.crosslr import SparseLrModel
 from dnn2lr.data import (
+    _CODING_BLOCK,
     CATEGORICAL,
     MISSING,
     MISSING_ID,
@@ -21,7 +22,7 @@ from dnn2lr.data import (
     RawTable,
     Vocabulary,
     check_schema,
-    code_tables,
+    code_records,
     load_arrays,
     load_csv,
     save_arrays,
@@ -300,26 +301,34 @@ class TestVocabulary:
         assert back.sizes() == vocab.sizes()
 
     def test_encode_table_dataset(self):
-        fields = two_field_schema()
         rows = [["red", "box"], ["blue", "ball"]]
-        table = RawTable(fields=fields, rows=rows, labels=[0, 1])
         vocab = Vocabulary.build(["color", "shape"], rows[:1])
-        ds = vocab.encode_table(code_tables([table])[0])
+        ds = vocab.encode_table(code_records(zip(rows, [0, 1], [2, 3]), 2))
         assert isinstance(ds, Dataset)
         assert ds.ids.tolist() == [[2, 2], [UNSEEN_ID, UNSEEN_ID]]
         assert ds.labels.tolist() == [0, 1]
         assert ds.labels.dtype == np.int8
 
-    def test_code_tables_share_first_seen_values(self):
-        fields = two_field_schema()
-        first = RawTable(fields=fields, rows=[["b", ""], ["a", "x"], ["b", "x"]], labels=[0, 1, 1])
-        second = RawTable(fields=fields, rows=[["c", "x"], ["a", ""]], labels=[1, 0])
-        one, two = code_tables([first, second])
+    def test_taken_tables_share_first_seen_values(self):
+        rows = [["z", "q"], ["b", ""], ["c", "x"], ["a", "x"], ["b", "x"], ["a", ""]]
+        table = code_records(zip(rows, [0, 0, 1, 1, 1, 0], range(2, 8)), 2)
+        assert table.values == [["z", "b", "c", "a"], ["q", "", "x"]]
+        assert table.codes.tolist() == [[0, 0], [1, 1], [2, 2], [3, 2], [1, 2], [3, 1]]
+        assert table.labels.dtype == np.int8 and list(table.lines) == [2, 3, 4, 5, 6, 7]
+        one, two = table.take(np.array([1, 3, 4]), np.array([2, 5]))
         assert one.values is two.values and one.values == [["b", "a", "c"], ["", "x"]]
         assert one.codes.tolist() == [[0, 0], [1, 1], [0, 1]]
         assert two.codes.tolist() == [[2, 1], [1, 0]]
         assert two.labels.tolist() == [1, 0] and two.labels.dtype == np.int8
         assert two.first_seen(0) == ["c", "a"] and one.first_seen(1) == ["", "x"]
+        assert two.rows() == [("c", "x"), ("a", "")]
+
+    def test_coding_runs_across_blocks(self):
+        rows = [[f"v{i % 1500}", str(i % 3)] for i in range(2 * _CODING_BLOCK + 7)]
+        table = code_records(zip(rows, [i % 2 for i in range(len(rows))], range(len(rows))), 2)
+        assert [len(v) for v in table.values] == [1500, 3]
+        assert table.rows() == [tuple(row) for row in rows]
+        assert table.labels.tolist() == [i % 2 for i in range(len(rows))]
 
 
 SPEC = {"ids": (np.int32, 2), "labels": (np.int8, 1)}
@@ -339,6 +348,16 @@ class TestArrayContainer:
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
         back = load_arrays(tmp_path / "a.npz", SPEC)
         assert np.array_equal(back["ids"], ids) and np.array_equal(back["labels"], labels)
+
+    def test_bytes_are_those_of_np_savez(self, tmp_path):
+        arrays = dict(
+            ids=np.arange(12, dtype=np.int32).reshape(3, 4), labels=np.array([0, 1, 1], np.int8),
+            count=np.int64(7), empty=np.empty((0, 3), np.int32), d=np.linspace(-1.0, 1.0, 5),
+            fortran=np.asfortranarray(np.arange(12.0).reshape(3, 4)), strided=np.arange(20)[::3],
+        )
+        np.savez(tmp_path / "numpy.npz", **arrays)
+        save_arrays(tmp_path / "ours.npz", **arrays)
+        assert (tmp_path / "ours.npz").read_bytes() == (tmp_path / "numpy.npz").read_bytes()
 
     @pytest.mark.parametrize(
         "write",
