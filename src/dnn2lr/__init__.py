@@ -10,6 +10,7 @@ final artifact is a plain logistic model with named cross features.
 
 from .candidates import (
     CrossFieldCandidate,
+    SubsetCounts,
     candidate_space_size,
     enumerate_candidates,
     top_epsilon,
@@ -71,6 +72,7 @@ __all__ = [
     "SearchResult",
     "SparseLrModel",
     "StageError",
+    "SubsetCounts",
     "TrainingError",
     "UndefinedMetricError",
     "Vocabulary",

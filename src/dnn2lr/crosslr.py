@@ -192,10 +192,11 @@ def _fit_tables(
     reads): a step is one gather, one accumulate along rows and one bincount.
     The bits are those of a gather and a bincount per table: the accumulate adds
     in table order, each bin belongs to one table and sums its rows in row
-    order, and the 0.0 slot gets no gradient, so L2 keeps it 0.0. ``settings``
-    (an LrSettings, validated here) and ``seed`` drive fit_with_early_stopping,
-    scored by validation AUC; the best epoch's weights are written back into
-    ``tables`` and ``bias``. Returns the history.
+    order, and the 0.0 slot gets no gradient, so L2 keeps it 0.0. Offset codes
+    stay int32 when the codes are; more weights than int32 can index raise a
+    TrainingError. ``settings`` (an LrSettings, validated here) and ``seed``
+    drive fit_with_early_stopping, scored by validation AUC; the best epoch's
+    weights are written back into ``tables`` and ``bias``. Returns the history.
     """
     settings.validate()
     y = np.asarray(labels, dtype=np.float64).ravel()
@@ -204,8 +205,11 @@ def _fit_tables(
         raise TrainingError("validation split has a single class; AUC is undefined")
     bounds = np.cumsum([0, *(w.size for w in tables)])
     flat = np.concatenate([*tables, [0.0]])
-    codes = codes + bounds[:-1]
-    valid_codes = np.where(valid_codes >= 0, valid_codes + bounds[:-1], -1)
+    if flat.size > np.iinfo(np.int32).max:
+        raise TrainingError(f"{flat.size} weights are too many to index as int32")
+    offsets = bounds[:-1].astype(np.int32)  # so int32 codes stay int32
+    codes = codes + offsets
+    valid_codes = np.where(valid_codes >= 0, valid_codes + offsets, -1)
 
     def lookup_sum(row_base: np.ndarray, row_codes: np.ndarray) -> np.ndarray:
         terms = np.column_stack([row_base, flat[row_codes]])
@@ -213,7 +217,7 @@ def _fit_tables(
         return logit if bias is None else logit + bias
 
     def step(batch: np.ndarray) -> float:
-        batch_codes = codes[batch]
+        batch_codes = codes[batch].astype(np.intp)  # numpy indexes and bins intp fastest
         p = stable_sigmoid(lookup_sum(base[batch], batch_codes))
         yb = y[batch]
         residual = (p - yb) / batch.size
@@ -278,8 +282,8 @@ def train_phase2(
     fields_list = [_normalize_fields(c) for c in candidates]
     if len(set(fields_list)) != len(fields_list):
         raise ConfigError("duplicate candidate cross fields")
-    codes = np.empty((len(ids), len(fields_list)), dtype=np.intp)
-    valid_codes = np.empty((len(valid), len(fields_list)), dtype=np.intp)
+    codes = np.empty((len(ids), len(fields_list)), dtype=np.int32)
+    valid_codes = np.empty((len(valid), len(fields_list)), dtype=np.int32)
     uniqs = []
     for j, fields in enumerate(fields_list):
         keys = CrossKeys([fields], model.vocab_sizes)

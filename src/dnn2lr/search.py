@@ -24,6 +24,8 @@ from .errors import ConfigError
 from .metrics import auc
 from .network import stable_sigmoid
 
+_PRECOMPUTE_ROWS = 1024  # rows of cross terms computed at once
+
 
 @dataclass
 class SearchStep:
@@ -53,9 +55,19 @@ def precompute_logit_columns(
     """Base logit (originals plus bias) and one column per attached cross field.
 
     Returns (base, columns) with columns shaped (K, n_candidates); a candidate
-    whose combinations never appear in ``ids`` yields an all-zero column.
+    whose combinations never appear in ``ids`` yields an all-zero column. The
+    columns are stored column-major, so each candidate's K values lie
+    contiguous (beam_select reads them as rows of ``columns.T``), and are
+    filled ``_PRECOMPUTE_ROWS`` rows at a time, so the cross-key temporaries
+    stay bounded however many rows there are.
     """
-    return model.logits(ids, active=[]), model.compile().cross_terms(np.asarray(ids))
+    base = model.logits(ids, active=[])
+    ids, scorer = np.asarray(ids), model.compile()
+    columns = np.empty((len(ids), len(model.cross_fields)), order="F")
+    for start in range(0, len(ids), _PRECOMPUTE_ROWS):
+        rows = slice(start, start + _PRECOMPUTE_ROWS)
+        columns[rows] = scorer.cross_terms(ids[rows])
+    return base, columns
 
 
 def _scored_auc(labels: np.ndarray, logits: np.ndarray) -> float:
@@ -65,13 +77,13 @@ def _scored_auc(labels: np.ndarray, logits: np.ndarray) -> float:
 def _candidate_aucs(
     labels: np.ndarray,
     logit: np.ndarray,
-    columns: np.ndarray,
+    rows: np.ndarray,
     pool: ThreadPoolExecutor | None,
     todo: list[int],
 ) -> list[float]:
     if pool is None:
-        return [_scored_auc(labels, logit + columns[:, j]) for j in todo]
-    return list(pool.map(lambda j: _scored_auc(labels, logit + columns[:, j]), todo))
+        return [_scored_auc(labels, logit + rows[j]) for j in todo]
+    return list(pool.map(lambda j: _scored_auc(labels, logit + rows[j]), todo))
 
 
 @dataclass
@@ -104,7 +116,8 @@ def beam_select(
     if threads < 1:
         raise ConfigError("threads must be at least 1")
     labels = np.asarray(labels, dtype=np.float64).ravel()
-    n_cand = columns.shape[1]
+    rows = np.ascontiguousarray(columns.T)  # a view for precompute_logit_columns' layout
+    n_cand = rows.shape[0]
     limit = n_cand if max_selected is None else min(max_selected, n_cand)
     base_logit = base.astype(np.float64, copy=True)
     base_auc = _scored_auc(labels, base_logit)
@@ -118,7 +131,7 @@ def beam_select(
             for state in frontier:
                 path = [s.candidate for s in state.steps]
                 todo = [j for j in range(n_cand) if j not in path]
-                scores = _candidate_aucs(labels, state.logit, columns, pool, todo)
+                scores = _candidate_aucs(labels, state.logit, rows, pool, todo)
                 for j, score in zip(todo, scores):
                     if score > state.auc:  # a child must strictly beat its parent
                         children.setdefault(tuple(sorted((*path, j))), (state, j, score))
@@ -128,7 +141,7 @@ def beam_select(
             frontier = [
                 _BeamState(
                     steps=(*parent.steps, SearchStep(candidate=j, auc=score)),
-                    logit=parent.logit + columns[:, j],
+                    logit=parent.logit + rows[j],
                     auc=score,
                 )
                 for _, (parent, j, score) in kept

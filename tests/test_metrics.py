@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from dnn2lr import metrics
 from dnn2lr.errors import UndefinedMetricError
 from dnn2lr.metrics import auc, ks
+from dnn2lr.network import stable_sigmoid
 
 
 def auc_pairwise(labels, scores):
@@ -36,6 +38,59 @@ def ks_exhaustive(labels, scores):
         gap = abs(np.mean(pos <= t) - np.mean(neg <= t))
         best = max(best, float(gap))
     return best
+
+
+def _mergesort_ranks(scores):
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def auc_mergesort(labels, scores):
+    """The rank-sum AUC over a stable sort, ranks scattered back to the samples."""
+    y = np.asarray(labels, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
+    n_pos = int(y.sum())
+    u = _mergesort_ranks(s)[y == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * (y.size - n_pos)))
+
+
+def ks_mergesort(labels, scores):
+    """KS over a stable sort: running class fractions read at every tie-block end."""
+    y = np.asarray(labels, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
+    n_pos = y.sum()
+    order = np.argsort(s, kind="mergesort")
+    cum_pos = np.cumsum(y[order]) / n_pos
+    cum_neg = np.cumsum(1.0 - y[order]) / (y.size - n_pos)
+    boundary = np.r_[s[order][1:] != s[order][:-1], True]
+    return float(np.abs(cum_pos[boundary] - cum_neg[boundary]).max())
+
+
+@st.composite
+def metric_cases(draw):
+    """Both classes, with heavy ties, clipped probabilities, constant scores or NaN."""
+    k = draw(st.integers(2, 60))
+    n_pos = draw(st.sampled_from([1, k - 1, None])) or draw(st.integers(1, k - 1))
+    labels = np.array(draw(st.permutations([1] * n_pos + [0] * (k - n_pos))))
+    kind = draw(st.sampled_from(["ties", "clipped", "constant", "spread"]))
+    if kind == "ties":
+        scores = np.array(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))) / 2.0
+    elif kind == "clipped":  # sigmoids of large logits sit at 1e-12 and 1 - 1e-12
+        logit = st.sampled_from([-60.0, -30.0, 0.0, 30.0, 60.0]) | st.floats(-40, 40)
+        logits = draw(st.lists(logit, min_size=k, max_size=k))
+        scores = stable_sigmoid(np.array(logits))
+    elif kind == "constant":
+        scores = np.full(k, draw(st.floats(-1.0, 1.0)))
+    else:
+        scores = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k)))
+    nan_at = draw(st.lists(st.integers(0, k - 1), max_size=k // 2))
+    scores[nan_at] = np.nan
+    return labels, scores
 
 
 class TestHandCases:
@@ -144,3 +199,29 @@ class TestProperties:
             d = ks(y, s)
             assert 0.0 <= a <= 1.0
             assert 0.0 <= d <= 1.0
+
+
+class TestSameBitsAsMergesort:
+    """auc and ks sort without a stable kind; they must equal the mergesort forms bit for bit."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(metric_cases())
+    def test_equal_to_mergesort_forms(self, case):
+        labels, scores = case
+        assert auc(labels, scores) == auc_mergesort(labels, scores)
+        assert ks(labels, scores) == ks_mergesort(labels, scores)
+
+    def test_property_catches_a_half_rank_error(self, monkeypatch):
+        tie_blocks = metrics._tie_blocks
+
+        def off_by_half(y, s):  # blocks of two or more get their mean rank plus 1/2
+            starts, ends, positives = tie_blocks(y, s)
+            return starts + (ends - starts > 1), ends, positives
+
+        monkeypatch.setattr(metrics, "_tie_blocks", off_by_half)
+        found = find(
+            metric_cases(),
+            lambda case: auc(*case) != auc_mergesort(*case),
+            settings=settings(derandomize=True, max_examples=400, database=None),
+        )
+        assert auc(*found) != auc_mergesort(*found)
