@@ -14,6 +14,7 @@ import numpy as np
 from dnn2lr.config import LrSettings
 from dnn2lr.crosslr import SparseLrModel, train_phase1, train_phase2
 from dnn2lr.metrics import auc
+from dnn2lr.network import stable_sigmoid
 from dnn2lr.search import beam_select, precompute_logit_columns
 
 rng = np.random.default_rng(6)
@@ -27,12 +28,14 @@ tr_ids, tr_y, va_ids, va_y = ids[:cut], y[:cut], ids[cut:], y[cut:]
 
 model = SparseLrModel([4, 4, 4, 4])
 train_phase1(model, tr_ids, tr_y, va_ids, va_y, LrSettings(epochs=15), seed=0)
-print(f"phase 1 validation AUC: {auc(va_y, model.predict(va_ids)):.3f}  (chance)")
+phase1_auc = auc(va_y, stable_sigmoid(model.logits(va_ids)))
+print(f"phase 1 validation AUC: {phase1_auc:.3f}  (chance)")
 
 # Phase 2 gets a mixed bag of candidates: the real pair plus decoy pairs.
 candidates = [(0, 1), (0, 2), (1, 3), (2, 3)]
 train_phase2(model, tr_ids, tr_y, va_ids, va_y, candidates, LrSettings(epochs=25), seed=0)
-print(f"phase 2, all candidates active:  {auc(va_y, model.predict(va_ids)):.3f}")
+phase2_auc = auc(va_y, stable_sigmoid(model.logits(va_ids)))
+print(f"phase 2, all candidates active:  {phase2_auc:.3f}")
 
 # The search ranks candidates by what they contribute on validation. It is one
 # beam search; at width 1 it is greedy forward selection.

@@ -155,9 +155,6 @@ class SparseLrModel:
         """bias + (originals + active cross columns in the given order)."""
         return self.compile(active).logits(self._check_ids(ids))
 
-    def predict(self, ids, active: list[tuple[int, ...]] | None = None) -> np.ndarray:
-        return stable_sigmoid(self.logits(ids, active=active))
-
     def attach_cross(self, fields: tuple[int, ...], combos, weights) -> None:
         """Add a cross from one row of member ids per entry, members ascending."""
         fields = tuple(int(f) for f in fields)

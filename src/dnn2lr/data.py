@@ -4,9 +4,9 @@ All features are ultimately categorical. Numerical fields get binned elsewhere
 (see discretize.py); by the time rows reach the vocabulary every cell is a
 string category, with the empty string standing for a missing value.
 
-One checked parser, ``csv_records``, reads every CSV. ``load_csv`` collects
-its rows as strings; ``code_records`` turns them into codes one block of
-rows at a time, so set-up never holds the raw table as Python strings.
+One checked parser, ``csv_records``, reads every CSV, and ``load_csv`` codes
+its rows one block at a time (``code_records``): no reader, ingest or evaluate,
+holds the raw table as Python strings. ``RawTable`` is for writers and generators.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import chain, count, cycle, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -69,7 +69,6 @@ class RawTable:
     fields: list[FieldSchema]
     rows: list[list[str]]
     labels: list[int]
-    lines: Sequence[int] = ()  # each row's first line in the file it was read from
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -118,29 +117,28 @@ class CodedTable:
         return list(zip(*columns))
 
 
-_CODING_BLOCK = 1024  # raw rows held at once: few live strings, all in cache
+_CODING_BLOCK = 256  # rows held at once: 2 containers a row stay under gc's threshold of 700
 
 
 def code_records(records, n_fields: int) -> CodedTable:
-    """Code csv_records' records a block of rows at a time, one column at a time.
+    """Code csv_records' records a block of rows at a time, each block row-major in one pass.
 
     Each field's values are its distinct cells in first-seen order, so a
-    cell's code is its rank in that order.
+    cell's code is its rank in that order. The codes grow in one array, which
+    the returned matrix reads in place.
     """
     # A missing key gets the next code: one lookup per cell codes by first sight.
     indexes = [defaultdict(count().__next__) for _ in range(n_fields)]
-    blocks, labels, lines = [np.empty((0, n_fields), dtype=np.int32)], array("b"), array("q")
+    codes, labels, lines = array("i"), array("b"), array("q")
     while block := list(islice(records, _CODING_BLOCK)):
         rows, block_labels, block_lines = zip(*block)
         labels.extend(block_labels)
         lines.extend(block_lines)
-        codes = np.empty((len(block), n_fields), dtype=np.int32)
-        for f, column in enumerate(zip(*rows)):
-            codes[:, f] = np.fromiter(map(indexes[f].__getitem__, column), np.int32, len(block))
-        blocks.append(codes)
+        flat = map(dict.__getitem__, cycle(indexes), chain.from_iterable(rows))
+        codes.frombytes(np.fromiter(flat, np.int32, n_fields * len(block)).tobytes())
     return CodedTable(
-        codes=np.concatenate(blocks), values=[list(index) for index in indexes],
-        labels=np.array(labels, dtype=np.int8), lines=lines,
+        codes=np.frombuffer(codes, dtype=np.int32).reshape(-1, n_fields), lines=lines,
+        values=[list(index) for index in indexes], labels=np.array(labels, dtype=np.int8),
     )
 
 
@@ -201,15 +199,9 @@ def csv_records(path, fields: list[FieldSchema], label: str):
             raise IngestionError(f"{path}: not UTF-8 text") from None
 
 
-def load_csv(path, fields: list[FieldSchema], label: str) -> RawTable:
-    """Read a CSV file into a RawTable; csv_records says what it checks."""
-    rows, labels, lines = [], [], array("q")  # lines: 8 bytes a row, no int object per row
-    for row, y, lineno in csv_records(path, fields, label):
-        rows.append(row)
-        labels.append(y)
-        lines.append(lineno)
-    ordered = sorted(fields, key=lambda f: f.index)
-    return RawTable(fields=ordered, rows=rows, labels=labels, lines=lines)
+def load_csv(path, fields: list[FieldSchema], label: str) -> CodedTable:
+    """Read a CSV file as codes; csv_records says what it checks, code_records how it codes."""
+    return code_records(csv_records(path, fields, label), len(fields))
 
 
 def save_csv(path, table: RawTable, label: str = "y") -> None:

@@ -96,8 +96,8 @@ def bin_labels(edges: BinEdges) -> list[str]:
 
 def apply_edges(edges: BinEdges, values: np.ndarray) -> list[str]:
     """Render values as bin labels; NaN renders as the missing marker."""
-    labels = bin_labels(edges)
-    return [MISSING if i < 0 else labels[i] for i in bin_index(edges, values)]
+    labels = bin_labels(edges) + [MISSING]  # bin -1 is the last
+    return list(map(labels.__getitem__, bin_index(edges, values).tolist()))
 
 
 def _single_field_valid_auc(

@@ -10,7 +10,8 @@ artifacts: every stage derives its randomness from the root seed salted with
 the stage name. Text artifacts write floats with repr; the .npz array
 containers hold them exactly. ``encoding.txt`` holds the vocabulary and bin
 edges in the scorecard grammar of ``model_final.txt`` (see model_io), with
-every weight 0.0.
+every weight 0.0. Ingest and evaluate read a CSV as codes through ``load_csv``;
+discretize and evaluate bin each distinct number once and gather ids by code.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import zlib
-from itertools import chain, zip_longest
+from itertools import chain, repeat, zip_longest
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -30,7 +31,7 @@ from .candidates import read_cross_lines, write_cross_lines
 from .config import PipelineConfig
 from .crosslr import SparseLrModel, split_keys, train_phase1, train_phase2
 from .data import MISSING, NUMERICAL, CodedTable, Dataset, FieldSchema, RawTable, Vocabulary
-from .data import code_records, csv_records, load_arrays, load_csv, save_arrays, save_csv
+from .data import load_arrays, load_csv, save_arrays, save_csv
 from .data import split_rows
 from .discretize import apply_edges, parse_number, select_granularity
 from .errors import ConfigError, Dnn2LrError, IngestionError, StageError
@@ -160,20 +161,34 @@ def _read_matrix(path: Path, n_fields: int) -> np.ndarray:
     return d
 
 
-def _check_numbers(path, fields: list[FieldSchema], table: CodedTable) -> None:
-    """Parse each distinct numerical cell of code_records' table once, in first-seen order.
+def _numbers(path, fields: list[FieldSchema], table: CodedTable) -> dict:
+    """Each numerical field's distinct cells parsed once: per field, its floats in code order.
 
-    A bad one fails naming its file and the line of the first row holding it.
+    A bad cell fails naming the file and the line of the first row holding it;
+    a table read from splits.npz has no lines, so there it names the file alone.
     """
+    numbers = {}
     for f in fields:
         if f.kind != NUMERICAL:
             continue
-        for code, cell in enumerate(table.values[f.index]):
-            try:
-                parse_number(cell, f.name)
-            except IngestionError as err:
-                line = table.lines[int(np.argmax(table.codes[:, f.index] == code))]
-                raise IngestionError(f"{path}: line {line}: {err}") from None
+        cells = iter(table.values[f.index])
+        size = len(table.values[f.index])
+        try:
+            numbers[f] = np.fromiter(map(parse_number, cells, repeat(f.name)), np.float64, size)
+        except IngestionError as err:
+            code = size - 1 - sum(1 for _ in cells)  # the cells after the bad one are unread
+            rows = np.flatnonzero(table.codes[:, f.index] == code)
+            where = f"line {table.lines[rows[0]]}: " if table.lines else ""
+            raise IngestionError(f"{path}: {where}{err}") from None
+    return numbers
+
+
+def _binned(numbers: dict, edges_by_name, *tables: CodedTable) -> list[CodedTable]:
+    """Tables sharing their values, each numerical field's values swapped for their bin labels."""
+    values = list(tables[0].values)
+    for f, floats in numbers.items():
+        values[f.index] = apply_edges(edges_by_name[f.name], floats)
+    return [dataclasses.replace(table, values=values) for table in tables]
 
 
 # ---------------------------------------------------------------------- #
@@ -183,17 +198,16 @@ def _check_numbers(path, fields: list[FieldSchema], table: CodedTable) -> None:
 def stage_ingest(config: PipelineConfig, ws: Workspace) -> None:
     """Code the raw CSV as it is read, check its numbers, shuffle, write train and valid codes.
 
-    The raw rows are held one block at a time (see data.code_records). The
-    test rows are decoded by code and written back out as test.csv.
+    The raw rows are held one block at a time (see data.load_csv). The test
+    rows are decoded by code and written back out as test.csv.
     """
     if config.data is None:
         raise IngestionError("no data file configured (set data = <path> or pass --data)")
     if not Path(config.data).is_file():
         raise IngestionError(f"data file not found or not a file: {config.data}")
     fields = sorted(config.fields, key=lambda f: f.index)
-    records = csv_records(config.data, fields, config.label)
-    table = code_records(records, len(fields))  # every read error before any number check
-    _check_numbers(config.data, fields, table)
+    table = load_csv(config.data, fields, config.label)
+    _numbers(config.data, fields, table)  # only once the whole file has read cleanly
     train, valid, test = split_rows(len(table.codes), config.split, _stage_seed(config, "ingest"))
     try:
         ws.root.mkdir(parents=True, exist_ok=True)
@@ -211,13 +225,10 @@ def stage_discretize(config: PipelineConfig, ws: Workspace) -> None:
     row's float or id is a gather by its code.
     """
     train, valid = _read_splits(config, ws.splits)
-    values = list(train.values)  # numerical fields' cells give way to their bin labels
+    numbers = _numbers(ws.splits, config.fields, train)
     edges_by_name = {}
-    for f in config.fields:
-        if f.kind != NUMERICAL:
-            continue
-        floats = np.array([parse_number(cell, f.name) for cell in values[f.index]])
-        _, edges = select_granularity(
+    for f, floats in numbers.items():
+        _, edges_by_name[f.name] = select_granularity(
             floats[train.codes[:, f.index]],
             train.labels,
             floats[valid.codes[:, f.index]],
@@ -225,12 +236,10 @@ def stage_discretize(config: PipelineConfig, ws: Workspace) -> None:
             field=f.index,
             candidates=config.granularities,
         )
-        edges_by_name[f.name] = edges
-        values[f.index] = apply_edges(edges, floats)
-    train, valid = (dataclasses.replace(table, values=values) for table in (train, valid))
+    train, valid = _binned(numbers, edges_by_name, train, valid)
     # One row per rank: each field's train values in first-seen order, padded with the
     # missing value, which no vocabulary learns.
-    ranked = zip_longest(*map(train.first_seen, range(len(values))), fillvalue=MISSING)
+    ranked = zip_longest(*map(train.first_seen, range(len(train.values))), fillvalue=MISSING)
     vocab = Vocabulary.build([f.name for f in config.fields], ranked)
     model_io.export_model(
         ws.encoding, SparseLrModel(vocab.sizes()), config.fields, vocab, edges_by_name, []
@@ -393,41 +402,36 @@ def stage_export_model(config: PipelineConfig, ws: Workspace) -> None:
     )
 
 
-def _encode_csv(exported: model_io.ExportedModel, path, fields, label: str) -> tuple:
-    """A CSV's labels and rows encoded for ``exported``; a bad number names its file and line."""
-    table = load_csv(path, fields, label)
-    try:
-        ids = exported.encode(table.rows)
-    except IngestionError:
-        records = zip(table.rows, table.labels, table.lines)
-        _check_numbers(path, table.fields, code_records(records, len(table.fields)))
-        raise
-    return np.asarray(table.labels), ids
+def _encode_csv(exported: model_io.ExportedModel, path, label: str) -> Dataset:
+    """A CSV read as codes and encoded for ``exported`` the way discretize encodes its splits."""
+    table = load_csv(path, exported.fields, label)
+    (table,) = _binned(_numbers(path, exported.fields, table), exported.edges_by_name, table)
+    return exported.vocab.encode_table(table)
 
 
 def evaluate_model(model_path, data_path, label: str = "y") -> dict:
     """Score a raw CSV with an exported model; schema comes from the model."""
     exported = model_io.load_exported(model_path)
-    labels, ids = _encode_csv(exported, data_path, exported.fields, label)
-    scores = exported.score_ids(ids)
-    return {"auc": auc(labels, scores), "ks": ks(labels, scores)}
+    test = _encode_csv(exported, data_path, label)
+    scores = exported.score_ids(test.ids)
+    return {"auc": auc(test.labels, scores), "ks": ks(test.labels, scores)}
 
 
 def stage_evaluate(config: PipelineConfig, ws: Workspace) -> dict:
     """Test-split metrics for the final model and its plain-LR ablation."""
     exported = _load_scorecard(config, ws.model_final)
-    labels, ids = _encode_csv(exported, ws.test_csv, config.fields, config.label)
-    plain_scores = exported.score_ids(ids, include_cross=False)
-    final_scores = exported.score_ids(ids)
+    test = _encode_csv(exported, ws.test_csv, config.label)
+    plain_scores = exported.score_ids(test.ids, include_cross=False)
+    final_scores = exported.score_ids(test.ids)
     names = [f.name for f in exported.fields]
     selected = ";".join(
         "*".join(names[i] for i in fields) for fields in exported.model.cross_fields
     )
     report = {
-        "plain_lr_test_auc": auc(labels, plain_scores),
-        "plain_lr_test_ks": ks(labels, plain_scores),
-        "final_test_auc": auc(labels, final_scores),
-        "final_test_ks": ks(labels, final_scores),
+        "plain_lr_test_auc": auc(test.labels, plain_scores),
+        "plain_lr_test_ks": ks(test.labels, plain_scores),
+        "final_test_auc": auc(test.labels, final_scores),
+        "final_test_ks": ks(test.labels, final_scores),
         "selected_cross_fields": selected if selected else "none",
     }
     ws.report.write_text(render_report(report), encoding="utf-8")

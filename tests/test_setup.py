@@ -1,7 +1,7 @@
 """Ingest and discretize against the paths they replace.
 
 The first oracle is the split-CSV path: ingest wrote train.csv and valid.csv,
-and discretize read them back with load_csv, parsed every numerical cell,
+and discretize read them back as strings, parsed every numerical cell,
 rendered each row's bin label and built the vocabulary over the rows. The
 coded path must write the same bytes, or fail with an error of the same kind.
 
@@ -13,6 +13,9 @@ The second oracle is ingest as it was before it coded cells as it read them:
 the whole file loaded as strings, split, and the train and valid rows coded
 together. Ingest must write the same splits.npz and test.csv, or fail with
 the same message.
+
+Evaluate reads a CSV as ingest does and encodes it as discretize does; on
+any scorecard its ids must be those of scoring's encoder on the raw rows.
 """
 
 import csv
@@ -38,15 +41,16 @@ from dnn2lr.data import (
     FieldSchema,
     RawTable,
     Vocabulary,
+    csv_records,
     load_arrays,
     load_csv,
     save_arrays,
     save_csv,
     split_table,
 )
-from dnn2lr.discretize import apply_edges, parse_number, select_granularity
+from dnn2lr.discretize import BinEdges, apply_edges, bin_labels, parse_number, select_granularity
 from dnn2lr.errors import Dnn2LrError, IngestionError
-from dnn2lr.pipeline import _stage_seed, _write_splits, run_stage
+from dnn2lr.pipeline import _encode_csv, _stage_seed, _write_splits, evaluate_model, run_stage
 
 
 def encode_rows(vocab: Vocabulary, rows) -> np.ndarray:
@@ -56,7 +60,17 @@ def encode_rows(vocab: Vocabulary, rows) -> np.ndarray:
     return ids.reshape(len(rows), vocab.n_fields)
 
 
-def check_numbers(path, table: RawTable) -> None:
+def read_rows(path, fields: list[FieldSchema], label: str) -> tuple[RawTable, list[int]]:
+    """A CSV file as rows of strings, as load_csv read it before it coded them, and their lines."""
+    rows, labels, lines = [], [], []
+    for row, y, line in csv_records(path, fields, label):
+        rows.append(row)
+        labels.append(y)
+        lines.append(line)
+    return RawTable(sorted(fields, key=lambda f: f.index), rows, labels), lines
+
+
+def check_numbers(path, table: RawTable, lines: list[int]) -> None:
     """Ingest's number check over a table of strings: each distinct cell parsed once."""
     for f in table.fields:
         if f.kind != NUMERICAL:
@@ -66,7 +80,7 @@ def check_numbers(path, table: RawTable) -> None:
             try:
                 parse_number(cell, f.name)
             except IngestionError as err:
-                line = table.lines[column.index(cell)]
+                line = lines[column.index(cell)]
                 raise IngestionError(f"{path}: line {line}: {err}") from None
 
 
@@ -87,8 +101,8 @@ def code_tables(tables: list[RawTable]) -> list[CodedTable]:
 
 def old_ingest(config: PipelineConfig, work: Path) -> None:
     """Ingest as it was: the whole file as strings, split, train and valid coded together."""
-    table = load_csv(config.data, config.fields, config.label)
-    check_numbers(config.data, table)
+    table, lines = read_rows(config.data, config.fields, config.label)
+    check_numbers(config.data, table, lines)
     train, valid, test = split_table(table, config.split, seed=_stage_seed(config, "ingest"))
     work.mkdir(parents=True, exist_ok=True)
     save_csv(work / "test.csv", test, label=config.label)
@@ -101,14 +115,15 @@ SPLIT_ARRAYS = {"ids": (np.int32, 2), "labels": (np.int8, 1)}
 
 def old_setup(config: PipelineConfig, work: Path) -> None:
     """Ingest and discretize as they were before ingest coded its splits."""
-    table = load_csv(config.data, config.fields, config.label)
-    check_numbers(config.data, table)
+    table, lines = read_rows(config.data, config.fields, config.label)
+    check_numbers(config.data, table, lines)
     parts = split_table(table, config.split, seed=_stage_seed(config, "ingest"))
     work.mkdir(parents=True, exist_ok=True)
     paths = [work / name for name in ("train.csv", "valid.csv", "test.csv")]
     for path, part in zip(paths, parts):
         save_csv(path, part, label=config.label)
-    train_part, valid_part = parts = [load_csv(p, config.fields, config.label) for p in paths[:2]]
+    parts = [read_rows(path, config.fields, config.label)[0] for path in paths[:2]]
+    train_part, valid_part = parts
     edges_by_name = {}
     for f in config.fields:
         if f.kind != NUMERICAL:
@@ -157,10 +172,10 @@ def check_encoders_agree(fields: list[FieldSchema], old: Path, new: Path) -> Non
     """Scoring's encoder against set-up's ids and against the bin-label path on test."""
     exported = model_io.load_exported(new / "encoding.txt")
     for split in ("train", "valid"):
-        rows = load_csv(old / f"{split}.csv", fields, "y").rows
+        rows = load_csv(old / f"{split}.csv", fields, "y").rows()
         saved = load_arrays(new / f"encoded_{split}.npz", SPLIT_ARRAYS)
         assert np.array_equal(exported.encode(rows), saved["ids"])
-    rows = load_csv(new / "test.csv", fields, "y").rows
+    rows = [list(row) for row in load_csv(new / "test.csv", fields, "y").rows()]
     got = exported.encode(rows)
     for f in fields:
         if f.kind == NUMERICAL:
@@ -208,7 +223,7 @@ def test_coded_setup_writes_the_bytes_of_the_split_csv_path(table, seed):
             check_encoders_agree(table.fields, root / "old", root / "new")
 
 
-BLOCK = 1024  # data._CODING_BLOCK: draws run past it
+BLOCK = 1024  # four of data._CODING_BLOCK: draws run past several
 AWKWARD_CELLS = st.text(alphabet='ab,"\n\r é中', max_size=4)
 NUMBER_CELLS = st.sampled_from(["", " 1.5 ", "1.5", "-0.0", "0", "1e3", "nan", "-2", " 7", "2e-1"])
 
@@ -286,11 +301,20 @@ def test_ingest_coding_as_it_reads_writes_the_bytes_of_the_string_table(case, se
         assert results[0] == results[1]
 
 
+def evaluate_ingest(config: PipelineConfig, work: Path) -> None:
+    """Evaluate's read of the data file, with a scorecard for the one numerical field amount."""
+    work.mkdir(parents=True)
+    (work / "model.txt").write_text("bias\t0.0\nfield\t0\tamount\tnumerical\n"
+                                    "edges\tamount\t10\t2.5\nw\tamount\tb0\t-1.0\n")
+    evaluate_model(work / "model.txt", config.data, label=config.label)
+
+
 @pytest.mark.parametrize(
     "data, error",
     [
         ('amount,y\n"1,5",1\n', "line 2: amount: cannot parse"),  # a bad number, too few rows
         ('amount,y\n"1,5",1\n2,0\n3,x\n', "line 4: label must be"),  # then a bad label
+        ('amount,y\n"1,5",1\n2,0\n3\n', "line 4: expected 2 cells, got 1"),  # then a ragged row
     ],
 )
 def test_read_errors_then_numbers_then_row_count(tmp_path, data, error):
@@ -299,7 +323,24 @@ def test_read_errors_then_numbers_then_row_count(tmp_path, data, error):
                             data=tmp_path / "data.csv", workdir=tmp_path / "work")
     want = ingest_outcome(old_ingest, config, tmp_path / "old")
     assert ingest_outcome(new_ingest, config, tmp_path / "new") == want
+    assert ingest_outcome(evaluate_ingest, config, tmp_path / "evaluate") == want
     assert error in want[1]
+
+
+def test_a_number_in_splits_npz_that_does_not_parse_fails_naming_the_file(tmp_path):
+    """splits.npz holds no lines, so discretize names the file alone."""
+    fields = [FieldSchema("amount", 0, NUMERICAL), FieldSchema("city", 1, CATEGORICAL)]
+    config = PipelineConfig(fields=fields, label="y", data=tmp_path / "data.csv",
+                            workdir=tmp_path / "work")
+    table = CodedTable(codes=np.array([[0, 0], [1, 1], [2, 0], [0, 1]], dtype=np.int32),
+                       values=[["1.5", "abc", "2"], ["x", "y"]],
+                       labels=np.array([0, 1, 1, 0], dtype=np.int8))
+    config.workdir.mkdir()
+    _write_splits(config.workdir / "splits.npz", fields, *table.take(np.arange(2), np.arange(2, 4)))
+    with pytest.raises(IngestionError) as err:
+        run_stage(config, "discretize")
+    path = config.workdir / "splits.npz"
+    assert str(err.value) == f"{path}: amount: cannot parse 'abc' as a number"
 
 
 def write_wide_csv(path: Path, k: int, n: int) -> list[FieldSchema]:
@@ -327,3 +368,49 @@ def test_ingest_holds_one_block_of_raw_rows(tmp_path):
         tracemalloc.stop()
     # Holding the whole table as strings peaked at 45.9 MB here, coding as it reads at 10.3 MB.
     assert peak < 15e6, f"ingest peaked at {peak / 1e6:.1f} MB"
+
+
+CUTS = [-1.0, -0.0, 1.5, 7.0, 1000.0]
+SPELLINGS = ["", " 1.5 ", "1.5", "-0", "0", "1e3", "1000", "nan", "inf", "-inf", " 7", "7.0",
+             "-1", "2e-1", "-1e9"]
+CATEGORIES = st.text(alphabet="ab,|\t\n é", max_size=3)
+
+
+@st.composite
+def scorecards(draw):
+    """A schema mixing kinds, a scorecard for it, and rows of cells it may never have seen.
+
+    Cuts are values the number spellings name, so cells fall exactly on a cut;
+    a scorecard may learn only some of a field's bins and categories.
+    """
+    kinds = draw(st.lists(st.sampled_from([CATEGORICAL, NUMERICAL]), min_size=1, max_size=4))
+    fields = [FieldSchema(f"f{i}", i, kind) for i, kind in enumerate(kinds)]
+    vocab = Vocabulary([f.name for f in fields])
+    edges_by_name, cells = {}, []
+    for f in fields:
+        if f.kind == NUMERICAL:
+            cuts = sorted(draw(st.lists(st.sampled_from(CUTS), unique=True)))
+            edges_by_name[f.name] = edges = BinEdges(f.index, 10, tuple(cuts))
+            learned = draw(st.lists(st.sampled_from(bin_labels(edges)), unique=True))
+            cells.append(st.sampled_from(SPELLINGS))
+        else:
+            learned = draw(st.lists(CATEGORIES.filter(bool), unique=True, max_size=4))
+            cells.append(CATEGORIES | st.sampled_from(learned) if learned else CATEGORIES)
+        for value in learned:
+            vocab.add(f.index, value)
+    rows = draw(st.lists(st.tuples(*cells).map(list), min_size=1, max_size=30))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    exported = model_io.ExportedModel(fields, vocab, edges_by_name, SparseLrModel(vocab.sizes()))
+    return exported, RawTable(fields, rows, labels)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(scorecards())
+def test_evaluate_encodes_a_csv_as_scoring_encodes_its_rows(case):
+    exported, table = case
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "data.csv"
+        save_csv(path, table, label="y")
+        coded = _encode_csv(exported, path, "y")
+    assert np.array_equal(coded.ids, exported.encode(table.rows))
+    assert coded.labels.tolist() == table.labels
